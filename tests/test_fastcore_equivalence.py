@@ -1,18 +1,20 @@
-"""Accelerated-kernel equivalence oracle (repro.sim.fastcore).
+"""Kernel trace digests: the event trace is pinned, not re-derived.
 
-The contract: ``Simulator(accel=True)`` is a pure speed change.  Same
-seed, byte-identical event trace — times, sequence numbers and dispatch
-order — on every scenario family the bench suite covers (clean chain,
-dense mesh, compound chaos faults), across seeds.  The oracle kernel in
-``repro.sim.engine`` is deliberately untouched so any fast-kernel bug
-shows up as a trace divergence here, not as a silently different result.
+Same seed, byte-identical event trace — times, sequence numbers and
+dispatch order — on every scenario family the bench suite covers (clean
+chain, dense mesh, compound chaos faults), across seeds.  The traces are
+checked against sha256 digests recorded on the reference kernel, so any
+kernel change that reorders, renumbers or drops an event shows up here
+as a digest mismatch, not as a silently different result.  The digests
+do not depend on ``PYTHONHASHSEED``.
 
 ``fidelity="hybrid"`` is held to the weaker *metric* contract it
-advertises: goodput within 2% of the oracle, identical retransmit/RTO
-counters, and it must actually have cruised (``sim.warps > 0``) while
-processing far fewer events.
+advertises: goodput within 2% of full fidelity, identical
+retransmit/RTO counters, and it must actually have cruised
+(``sim.warps > 0``) while processing far fewer events.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -51,9 +53,9 @@ def _trace(sim):
     return entries
 
 
-def _chain_run(accel: bool, seed: int):
+def _chain_run(seed: int):
     """3-hop hidden-terminal bulk transfer, fully traced."""
-    net = build_chain(3, seed=seed, accel=accel)
+    net = build_chain(3, seed=seed)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
@@ -64,9 +66,9 @@ def _chain_run(accel: bool, seed: int):
     return trace, round(res.goodput_kbps, 3), net.medium.frames_delivered
 
 
-def _mesh_run(accel: bool, seed: int):
+def _mesh_run(seed: int):
     """A small router mesh with staggered concurrent flows, traced."""
-    net = build_grid_mesh(4, 4, seed=seed, accel=accel)
+    net = build_grid_mesh(4, 4, seed=seed)
     params = tcplp_params(window_segments=2)
     specs = [FlowSpec(src=3, dst=0, start=0.0),
              FlowSpec(src=15, dst=12, start=0.25),
@@ -79,9 +81,9 @@ def _mesh_run(accel: bool, seed: int):
             net.medium.frames_delivered, res.flows_connected)
 
 
-def _chaos_run(accel: bool, seed: int):
+def _chaos_run(seed: int):
     """2-hop chain under compound faults (flap + reboot + loss), traced."""
-    net = build_chain(2, seed=seed, with_cloud=False, accel=accel)
+    net = build_chain(2, seed=seed, with_cloud=False)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     injector = FaultInjector(net, FaultSchedule.from_dict(CHAOS_SPEC)).arm()
@@ -97,30 +99,47 @@ def _chaos_run(accel: bool, seed: int):
 # ======================================================================
 # byte-identical traces, per scenario family, across seeds
 # ======================================================================
+#: sha256 of ``repr(run)`` per scenario family and seed, recorded on the
+#: reference (Event-per-entry) kernel.  Any change to dispatch order,
+#: sequence numbering or the simulated outcome changes the digest.
+TRACE_DIGESTS = {
+    ("chain", 1): "9a445bab2d2d30d08de5126580a7e46fbc64ef073474c616c348ef3aa56e69f2",
+    ("chain", 2): "40f040f0b88e1d2825a2188139c1302bbebced89975c8d2784fc925c45b0f076",
+    ("chain", 3): "837e4daa6b805c8b60e189f2fb83c5bf20360fea4436d2c196bf3d0004e0fa34",
+    ("chain", 4): "556dc195e3b40dd2867a6418a12988716bfd38e77153f2dbd91310b5f1534047",
+    ("chain", 5): "a93a67f196dde8df7755fa6d0bd2aee24efe58d177cda9bf61cbfe611a4650ae",
+    ("mesh", 3): "bf63789a937a246b0e2bc3854dd925a3ce39210d23836f4994f409cf1b9ba2a5",
+    ("mesh", 11): "c261450991d1f195f59e30632be94bb5b49814ee4eb0db6d3bd02c627a643001",
+    ("chaos", 7): "cb811a89735c1588c1a71eba8865b05ce227e78036d7ce01281aeb14aae5ef25",
+    ("chaos", 23): "1564c2b201a8cc108b87f620a8fe7e9b3c0a18477058e5d8b907ea90581008fb",
+}
+
+
+def _digest(run) -> str:
+    return hashlib.sha256(repr(run).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_chain_trace_identical(seed):
-    oracle = _chain_run(accel=False, seed=seed)
-    fast = _chain_run(accel=True, seed=seed)
-    assert len(oracle[0]) > 5000  # the run exercised the whole stack
-    assert fast == oracle
+    run = _chain_run(seed)
+    assert len(run[0]) > 5000  # the run exercised the whole stack
+    assert _digest(run) == TRACE_DIGESTS["chain", seed]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_mesh_trace_identical(seed):
-    oracle = _mesh_run(accel=False, seed=seed)
-    fast = _mesh_run(accel=True, seed=seed)
-    assert oracle[3] > 0  # flows actually connected
-    assert len(oracle[0]) > 5000
-    assert fast == oracle
+    run = _mesh_run(seed)
+    assert run[3] > 0  # flows actually connected
+    assert len(run[0]) > 5000
+    assert _digest(run) == TRACE_DIGESTS["mesh", seed]
 
 
 @pytest.mark.parametrize("seed", [7, 23])
 def test_chaos_trace_identical(seed):
-    oracle = _chaos_run(accel=False, seed=seed)
-    fast = _chaos_run(accel=True, seed=seed)
-    assert oracle[3] > 0  # faults actually fired
-    assert len(oracle[0]) > 5000
-    assert fast == oracle
+    run = _chaos_run(seed)
+    assert run[3] > 0  # faults actually fired
+    assert len(run[0]) > 5000
+    assert _digest(run) == TRACE_DIGESTS["chaos", seed]
 
 
 # ======================================================================
