@@ -162,7 +162,7 @@ class BulkTransfer:
         """Book analytically fast-forwarded progress (hybrid tier):
         delivered bytes into the meter (with the warped span they
         covered), plus the equivalent data-segment count so per-segment
-        statistics stay comparable to oracle runs."""
+        statistics stay comparable to full-fidelity runs."""
         self.meter.credit(nbytes, interval)
         conn = self._conn
         if conn is not None and nbytes > 0:

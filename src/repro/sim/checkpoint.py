@@ -118,7 +118,6 @@ class Checkpoint:
         has no ``on_event`` hook.
         """
         sim, roots = copy.deepcopy(self._state)
-        sim._running = False
         sim._stopped = False
         sim.on_event = None
         return sim, roots

@@ -21,14 +21,27 @@ Hot-path design notes:
 * ``schedule_periodic`` re-arms one Event object in the dispatch loop
   instead of allocating a fresh Event per tick — used by duty-cycle
   polling, which otherwise churns an allocation every poll interval.
+* ``schedule_unref`` — the dominant scheduling call in the PHY/MAC hot
+  path, whose callers discard the handle — pushes a slim
+  ``(time, seq, fn, args)`` 4-tuple instead of an Event: no allocation
+  beyond the tuple and no tombstone machinery.  C tuple comparison
+  orders both entry shapes by ``(time, seq)`` alone (``seq`` is
+  unique), so they share one heap and dispatch in the same order the
+  Event form would.  ``tests/test_fastcore_equivalence.py`` pins the
+  resulting traces with checked-in digests.
+* Slim entries stay in the C ``heapq``: an array-backed heap with a
+  hand-written Python siftup/siftdown was prototyped and measured at
+  roughly half the heap operations per second, because every sift step
+  pays bytecode dispatch.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import math
 import time as _time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.sim import metrics as _metrics
 
@@ -98,6 +111,33 @@ class Event:
 
 
 _new_event = Event.__new__
+
+
+class _HookView:
+    """Event-shaped view of a slim heap entry, built only for dispatch
+    hooks (``on_event`` tracers, checkpoint ``TraceHook``) so they see
+    the same ``time``/``seq``/``fn`` surface as for Events."""
+
+    __slots__ = ("time", "seq", "fn", "args", "interval", "cancelled", "fired")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        name = getattr(self.fn, "__qualname__", repr(self.fn))
+        return f"<unref-event t={self.time:.6f} {name}>"
+
+
+_new_view = _HookView.__new__
+
+
+def _view(time: float, seq: int, fn, args) -> _HookView:
+    v = _new_view(_HookView)
+    v.time = time
+    v.seq = seq
+    v.fn = fn
+    v.args = args
+    v.interval = None
+    v.cancelled = False
+    v.fired = True
+    return v
 
 
 class RealtimePacer:
@@ -240,32 +280,25 @@ class Simulator:
     order) until the queue drains, ``until`` is reached, or ``stop()`` is
     called from within a callback.
 
-    ``Simulator(accel=True)`` (or ``fidelity="hybrid"``) transparently
-    constructs a :class:`repro.sim.fastcore.FastSimulator` — the
-    accelerated kernel tier.  The plain class is the *equivalence
-    oracle*: the accelerated kernel must replay byte-identical event
-    traces (see ``tests/test_fastcore_equivalence.py``).
+    The heap holds two entry shapes: ``(time, seq, Event)`` for
+    handle-returning schedules (tombstone cancellation, periodic
+    re-arming) and slim ``(time, seq, fn, args)`` for handle-free
+    :meth:`schedule_unref` events.
+
+    ``fidelity="hybrid"`` attaches a
+    :class:`repro.sim.hybrid.HybridController`, which fast-forwards
+    steady bulk-transfer phases analytically.
     """
 
-    def __new__(cls, accel: bool = False, fidelity: str = "full"):
-        if cls is Simulator and (accel or fidelity == "hybrid"):
-            from repro.sim.fastcore import FastSimulator
-            return super().__new__(FastSimulator)
-        return super().__new__(cls)
-
-    def __init__(self, accel: bool = False, fidelity: str = "full") -> None:
+    def __init__(self, fidelity: str = "full") -> None:
         if fidelity not in ("full", "hybrid"):
             raise SimulationError(
                 f"unknown fidelity {fidelity!r} (expected 'full' or 'hybrid')"
             )
-        #: kernel tier flags.  The oracle kernel ignores them beyond
-        #: validation (``__new__`` dispatched accel requests elsewhere).
-        self.accel = accel
         self.fidelity = fidelity
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[tuple] = []
         self._seq = 0
-        self._running = False
         self._stopped = False
         self.events_processed = 0
         #: tombstoned (cancelled) entries still sitting in the heap
@@ -294,9 +327,9 @@ class Simulator:
         self.warp_hooks: List[Callable[[float], None]] = []
         #: number of analytic fast-forwards performed (observability)
         self.warps = 0
-        #: the hybrid-fidelity controller when ``fidelity="hybrid"``
-        #: (fastcore only); None otherwise.  Workload drivers check this
-        #: to register their flows for steady-state detection.
+        #: the hybrid-fidelity controller when ``fidelity="hybrid"``;
+        #: None otherwise.  Workload drivers check this to register
+        #: their flows for steady-state detection.
         self.hybrid = None
         #: the ``until`` horizon of the run in progress (None outside
         #: ``run`` or for unbounded runs) — the hybrid controller never
@@ -312,6 +345,9 @@ class Simulator:
         #: directly instead of introspecting ``ev.fn.__self__`` on the
         #: heap.
         self._armed_timers: set = set()
+        if fidelity == "hybrid":
+            from repro.sim.hybrid import HybridController
+            self.hybrid = HybridController(self)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -340,14 +376,16 @@ class Simulator:
     def schedule_unref(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` without returning a cancellation handle.
 
-        Semantically identical to :meth:`schedule` with the returned
-        Event discarded (same sequence-number consumption, same dispatch
-        order), but the contract — *no handle, so nobody can cancel it* —
-        lets the accelerated kernel skip the Event allocation entirely.
-        The oracle kernel keeps the allocation so both kernels replay
-        byte-identical traces.
+        Same sequence-number consumption and dispatch order as
+        :meth:`schedule`, but the contract — *no handle, so nobody can
+        cancel it* — lets the heap hold a slim ``(time, seq, fn, args)``
+        entry instead of an Event.
         """
-        self.schedule(delay, fn, *args)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._queue, (self.now + delay, seq, fn, args))
 
     def warp(self, delta: float) -> None:
         """Advance the clock ``delta`` seconds analytically.
@@ -359,9 +397,7 @@ class Simulator:
         and ``warp_hooks`` fire so layers holding absolute times outside
         the heap (the medium's in-flight transmissions) shift too.
 
-        Only the hybrid-fidelity controller calls this; it lives on the
-        base class so the mechanics are inspectable (and testable)
-        without the fastcore import.
+        Only the hybrid-fidelity controller calls this.
         """
         if delta <= 0:
             raise SimulationError(f"warp delta must be positive (got {delta})")
@@ -441,7 +477,7 @@ class Simulator:
         the queue held by a running dispatch loop valid.
         """
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        queue[:] = [e for e in queue if len(e) == 4 or not e[2].cancelled]
         heapq.heapify(queue)
         self.cancelled_count = 0
         self.compactions += 1
@@ -454,9 +490,8 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so duty-cycle accounting over
-        a fixed horizon is exact.
+        a fixed horizon is exact.  This is the kernel's one dispatch loop.
         """
-        self._running = True
         self._stopped = False
         self._run_until = until
         # Hot loop: attribute lookups hoisted into locals.  The queue is
@@ -465,7 +500,7 @@ class Simulator:
         queue = self._queue
         heappop = _heappop
         heappush = _heappush
-        limit = float("inf") if until is None else until
+        limit = math.inf if until is None else until
         hook = self.on_event
         processed = 0
         try:
@@ -473,7 +508,17 @@ class Simulator:
                 time = queue[0][0]
                 if time > limit:
                     break
-                ev = heappop(queue)[2]
+                entry = heappop(queue)
+                if len(entry) == 4:
+                    # slim schedule_unref entry: never cancelled
+                    self.now = time
+                    processed += 1
+                    fn, args = entry[2], entry[3]
+                    if hook is not None:
+                        hook(_view(time, entry[1], fn, args))
+                    fn(*args)
+                    continue
+                ev = entry[2]
                 if ev.cancelled:
                     self.cancelled_count -= 1
                     continue
@@ -498,7 +543,6 @@ class Simulator:
                 self.now = until
         finally:
             self.events_processed += processed
-            self._running = False
             self._run_until = None
 
     def run_exclusive(self, limit: float) -> None:
@@ -509,47 +553,12 @@ class Simulator:
         at exactly ``T`` for the next window (or for the final inclusive
         ``run(until=T)`` step), so frames committed by a foreign shard
         with air-start exactly ``T`` can still be injected at the
-        barrier before any local event at ``T`` executes.  Apart from
-        the strict bound the loop is ``run``'s: same dispatch order,
-        same sequence-number consumption, same periodic re-arming.
+        barrier before any local event at ``T`` executes.  It is
+        :meth:`run` up to the largest float below ``limit``.
         """
-        self._running = True
-        self._stopped = False
-        self._run_until = limit
-        queue = self._queue
-        heappop = _heappop
-        heappush = _heappush
-        hook = self.on_event
-        processed = 0
-        try:
-            while queue and not self._stopped:
-                time = queue[0][0]
-                if time >= limit:
-                    break
-                ev = heappop(queue)[2]
-                if ev.cancelled:
-                    self.cancelled_count -= 1
-                    continue
-                self.now = time
-                processed += 1
-                interval = ev.interval
-                if interval is None:
-                    ev.fired = True
-                else:
-                    ev.time = time + interval
-                    seq = self._seq
-                    self._seq = seq + 1
-                    ev.seq = seq
-                    heappush(queue, (ev.time, seq, ev))
-                if hook is not None:
-                    hook(ev)
-                ev.fn(*ev.args)
-            if self.now < limit and not self._stopped:
-                self.now = limit
-        finally:
-            self.events_processed += processed
-            self._running = False
-            self._run_until = None
+        self.run(math.nextafter(limit, -math.inf))
+        if self.now < limit and not self._stopped:
+            self.now = limit
 
     def run_realtime(
         self,
@@ -652,7 +661,16 @@ class Simulator:
         """Process a single event. Returns False when the queue is empty."""
         queue = self._queue
         while queue:
-            ev = _heappop(queue)[2]
+            entry = _heappop(queue)
+            if len(entry) == 4:
+                time, seq, fn, args = entry
+                self.now = time
+                self.events_processed += 1
+                if self.on_event is not None:
+                    self.on_event(_view(time, seq, fn, args))
+                fn(*args)
+                return True
+            ev = entry[2]
             if ev.cancelled:
                 self.cancelled_count -= 1
                 continue
@@ -679,18 +697,30 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
-            _heappop(queue)
-            self.cancelled_count -= 1
-        return queue[0][0] if queue else None
+        while queue:
+            head = queue[0]
+            if len(head) == 3 and head[2].cancelled:
+                _heappop(queue)
+                self.cancelled_count -= 1
+                continue
+            return head[0]
+        return None
 
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (O(n); for tests)."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        return sum(1 for e in self._queue if len(e) == 4 or not e[2].cancelled)
 
-    def pending_events(self) -> List[Event]:
-        """The non-cancelled events still queued, in heap order (O(n))."""
-        return [entry[2] for entry in self._queue if not entry[2].cancelled]
+    def pending_events(self) -> List[object]:
+        """The non-cancelled events still queued, in heap order (O(n)).
+
+        Slim entries come back as Event-shaped views."""
+        out: List[object] = []
+        for e in self._queue:
+            if len(e) == 4:
+                out.append(_view(*e))
+            elif not e[2].cancelled:
+                out.append(e[2])
+        return out
 
     def armed_timers(self) -> List[object]:
         """Timers currently armed on this simulator, (expiry, name) order.

@@ -166,9 +166,8 @@ def probe_kernel(sim, last_now: float) -> List[str]:
     for i in range(n):
         entry = queue[i]
         time_i, seq_i = entry[0], entry[1]
-        # the accelerated kernel mixes slim handle-free 4-tuples
-        # (time, seq, fn, args) into the heap; only full Event entries
-        # can be tombstoned
+        # the heap mixes slim handle-free 4-tuples (time, seq, fn, args)
+        # with Event entries; only Event entries can be tombstoned
         if len(entry) == 3 and entry[2].cancelled:
             tombstones += 1
         for child in (2 * i + 1, 2 * i + 2):

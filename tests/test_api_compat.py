@@ -87,39 +87,29 @@ def test_api_names_are_the_implementation_objects():
 
 
 def test_make_simulator_selects_kernel_tiers():
-    from repro.sim.fastcore import FastSimulator
-
     sim = api.make_simulator()
     assert type(sim) is api.Simulator
-    assert (sim.accel, sim.fidelity) == (False, "full")
-
-    fast = api.make_simulator(accel=True)
-    assert type(fast) is FastSimulator
-    assert isinstance(fast, api.Simulator)  # substitutable everywhere
-    assert fast.accel is True and fast.hybrid is None
+    assert sim.fidelity == "full" and sim.hybrid is None
 
     hybrid = api.make_simulator(fidelity="hybrid")
-    assert type(hybrid) is FastSimulator
-    assert hybrid.hybrid is not None
+    assert type(hybrid) is api.Simulator
+    assert hybrid.fidelity == "hybrid" and hybrid.hybrid is not None
 
 
 def test_simulator_constructor_matches_make_simulator():
-    from repro.sim.fastcore import FastSimulator
-
-    # the facade helper and the constructor are the same dispatch
-    assert type(api.Simulator(accel=True)) is FastSimulator
-    assert type(api.Simulator()) is api.Simulator
+    # the facade helper and the constructor build the same tier
+    for fidelity in ("full", "hybrid"):
+        via_helper = api.make_simulator(fidelity=fidelity)
+        direct = api.Simulator(fidelity=fidelity)
+        assert type(via_helper) is type(direct)
+        assert (via_helper.hybrid is None) == (direct.hybrid is None)
 
 
 def test_topology_builders_thread_kernel_knobs():
-    from repro.sim.fastcore import FastSimulator
-
-    net = api.build_pair(seed=0, accel=True)
-    assert type(net.sim) is FastSimulator
-    net2 = api.build_chain(2, seed=0, fidelity="hybrid")
-    assert net2.sim.hybrid is not None
-    net3 = api.build_pair(seed=0)
-    assert type(net3.sim) is api.Simulator
+    net = api.build_chain(2, seed=0, fidelity="hybrid")
+    assert net.sim.hybrid is not None
+    net2 = api.build_pair(seed=0)
+    assert type(net2.sim) is api.Simulator and net2.sim.hybrid is None
 
 
 def test_run_experiments_is_callable_with_runner_signature():

@@ -26,7 +26,7 @@ from repro.experiments.workload import BulkTransfer, FlowSet, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.checkpoint import CheckpointManager, TraceHook
 from repro.sim.engine import Simulator
-from repro.sim.fastcore import FastSimulator
+from repro.sim.hybrid import HybridController
 from repro.verify.probes import probe_kernel
 
 CHAOS_SPEC = {
@@ -143,42 +143,24 @@ def test_chaos_trace_identical(seed):
 
 
 # ======================================================================
-# kernel construction and dispatch
+# tier construction
 # ======================================================================
-def test_accel_flag_dispatches_to_fast_simulator():
-    assert type(Simulator()) is Simulator
-    fast = Simulator(accel=True)
-    assert type(fast) is FastSimulator
-    assert fast.accel is True and fast.fidelity == "full"
-    assert fast.hybrid is None
-
-
 def test_hybrid_fidelity_implies_fast_kernel_and_controller():
+    assert Simulator().hybrid is None
     sim = Simulator(fidelity="hybrid")
-    assert type(sim) is FastSimulator
-    assert sim.hybrid is not None
+    assert isinstance(sim.hybrid, HybridController)
+    assert sim.hybrid.sim is sim
     from repro.sim.engine import SimulationError
 
     with pytest.raises(SimulationError, match="fidelity"):
         Simulator(fidelity="approximate")
 
 
-def test_deepcopy_preserves_kernel_class():
-    import copy
-
-    fast = Simulator(accel=True)
-    fast.schedule(1.0, fast.stop)
-    clone = copy.deepcopy(fast)
-    assert type(clone) is FastSimulator
-    assert clone.pending_count() == 1
-
-
 # ======================================================================
-# schedule_unref semantics under both kernels
+# schedule_unref: slim heap entries
 # ======================================================================
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_schedule_unref_semantics(accel):
-    sim = Simulator(accel=accel)
+def test_schedule_unref_semantics():
+    sim = Simulator()
     fired = []
     assert sim.schedule_unref(2.0, fired.append, "slim") is None
     ev = sim.schedule(1.0, fired.append, "event")
@@ -193,20 +175,18 @@ def test_schedule_unref_semantics(accel):
     assert sim.pending_count() == 0
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_schedule_unref_rejects_negative_delay(accel):
+def test_schedule_unref_rejects_negative_delay():
     from repro.sim.engine import SimulationError
 
-    sim = Simulator(accel=accel)
+    sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule_unref(-0.1, lambda: None)
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["oracle", "accel"])
-def test_warp_shifts_both_entry_shapes(accel):
+def test_warp_shifts_both_entry_shapes():
     from repro.sim.engine import SimulationError
 
-    sim = Simulator(accel=accel)
+    sim = Simulator()
     fired = []
     sim.schedule_unref(2.0, lambda: fired.append(("slim", sim.now)))
     sim.schedule(3.0, lambda: fired.append(("event", sim.now)))
@@ -221,10 +201,10 @@ def test_warp_shifts_both_entry_shapes(accel):
 
 
 # ======================================================================
-# invariant probes and checkpointing see through the fast kernel
+# invariant probes and checkpointing see through slim entries
 # ======================================================================
 def test_probe_kernel_clean_on_accel_mid_run():
-    sim = Simulator(accel=True)
+    sim = Simulator()
     for i in range(50):
         sim.schedule_unref(0.1 * i + 5.0, lambda: None)
     events = [sim.schedule(0.1 * i + 5.0, lambda: None) for i in range(50)]
@@ -237,7 +217,7 @@ def test_probe_kernel_clean_on_accel_mid_run():
 
 
 def test_checkpoint_resume_byte_identical_on_accel():
-    net = build_chain(2, seed=11, with_cloud=False, accel=True)
+    net = build_chain(2, seed=11, with_cloud=False)
     for n in net.nodes.values():
         n.mac.params.retry_delay = 0.04
     params = tcplp_params(window_segments=4)
@@ -252,7 +232,6 @@ def test_checkpoint_resume_byte_identical_on_accel():
     reference = hook.suffix_after(cp)
     assert len(reference) > 100
     sim2, _roots = cp.restore()
-    assert type(sim2) is FastSimulator  # the kernel tier survives restore
     hook2 = TraceHook().attach(sim2)
     sim2.run(until=12.0)
     assert hook2.entries == reference

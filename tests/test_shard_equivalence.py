@@ -7,6 +7,8 @@ here run the same machinery at shorter horizons so the contract is also
 exercised by plain ``pytest``.
 """
 
+import math
+
 import pytest
 
 from repro.api import ShardedSimulator, ShardRecipe, make_simulator
@@ -87,7 +89,7 @@ def gate_kwargs(**overrides):
 @pytest.mark.parametrize("mutate, match", [
     (dict(builder="chain"), "not shardable"),
     (dict(builder_kwargs=gate_kwargs(with_cloud=True)), "cloud"),
-    (dict(builder_kwargs=gate_kwargs(accel=True)), "oracle kernel"),
+    (dict(builder_kwargs=gate_kwargs(node_config=object())), "node_config"),
     (dict(builder_kwargs=gate_kwargs(fidelity="hybrid")), "fidelity"),
     (dict(tx_turnaround=0.0), "tx_turnaround"),
     (dict(flows=[FlowSpec(src=0, dst=1, dst_is_cloud=True)]), "cloud"),
@@ -108,8 +110,8 @@ def test_make_simulator_shard_surface():
     with pytest.raises(ValueError, match="ShardRecipe"):
         make_simulator(shards=2)
     recipe = default_gate_recipe()
-    with pytest.raises(ValueError, match="oracle kernel"):
-        make_simulator(shards=2, recipe=recipe, accel=True)
+    with pytest.raises(ValueError, match="full fidelity"):
+        make_simulator(shards=2, recipe=recipe, fidelity="hybrid")
     sharded = make_simulator(shards=2, recipe=recipe)
     try:
         assert isinstance(sharded, ShardedSimulator)
@@ -121,6 +123,22 @@ def test_make_simulator_shard_surface():
 # ----------------------------------------------------------------------
 # ghost tie ordering (the _WorkerSim seq-key machinery)
 # ----------------------------------------------------------------------
+def test_run_exclusive_stops_just_below_the_limit():
+    # The window primitive runs up to the largest float below the
+    # limit: an event one ulp early fires, one exactly at it waits.
+    sim = Simulator()
+    fired = []
+    limit = 2.0
+    sim.schedule_at(math.nextafter(limit, -math.inf), fired.append, "early")
+    sim.schedule_at(limit, fired.append, "at")
+    sim.run_exclusive(limit)
+    assert fired == ["early"]
+    assert sim.now == limit
+    assert sim.pending_count() == 1 and sim.peek_time() == limit
+    sim.run(until=limit)
+    assert fired == ["early", "at"]
+
+
 def test_ghost_seq_key_orders_at_commit_instant():
     # A ghost committed at t=1.2 must dispatch after events scheduled
     # at instants <= 1.2 and before events scheduled later, even when
@@ -137,6 +155,25 @@ def test_ghost_seq_key_orders_at_commit_instant():
     sim.begin_seqlog()
     sim.run(until=6.0)
     assert order == ["a", "ghost", "b"]
+
+
+def test_seqlog_ignores_periodic_rearm():
+    # A periodic event re-arms (taking a seq number) before the dispatch
+    # hook sees it; that number belongs to the new instant, so a ghost
+    # committed earlier must still sort before the re-armed repeat.
+    sim = Simulator()
+    sim.__class__ = _WorkerSim
+    sim._init_shard_log()
+    order = []
+    sim.schedule_at(1.0, order.append, "a")
+    sim.schedule_periodic(1.5, order.append, "tick")  # 1.5, 3.0, ...
+    sim.begin_seqlog()
+    sim.run_exclusive(2.0)
+    sim.end_seqlog()
+    sim.schedule_ghost(3.0, 1.2, order.append, "ghost")
+    sim.begin_seqlog()
+    sim.run(until=3.0)
+    assert order == ["a", "tick", "ghost", "tick"]
 
 
 def test_ghost_keys_stay_unique_and_monotone():

@@ -192,10 +192,9 @@ def replay_from_checkpoint(result: Dict[str, object]) -> Dict[str, object]:
     # heap at capture, so it was deep-copied with the sim.  Recover it
     # through that event's bound method.
     replay_engine = None
-    for _t, _s, ev in sim2._queue:
-        fn = getattr(ev, "fn", None)
-        owner = getattr(fn, "__self__", None)
-        if isinstance(owner, InvariantEngine) and not ev.cancelled:
+    for ev in sim2.pending_events():
+        owner = getattr(ev.fn, "__self__", None)
+        if isinstance(owner, InvariantEngine):
             replay_engine = owner
             break
     if replay_engine is None:
