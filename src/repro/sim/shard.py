@@ -431,11 +431,8 @@ class _WorkerSim(Simulator):
     """
 
     def _init_shard_log(self) -> None:
-        self._log_t: List[float] = []
-        self._log_s: List[int] = []
-        self._log_base = self._seq
-        self._log_last: Optional[float] = None
         self._ghost_ord = 0
+        self.begin_seqlog()
 
     def begin_seqlog(self) -> None:
         """Start a window's (instant -> seq) log and install its hook.
@@ -445,10 +442,10 @@ class _WorkerSim(Simulator):
         before the window runs.  The hook is installed here, every
         window, because a checkpoint restore comes back without one.
         """
-        self._log_t = []
-        self._log_s = []
+        self._log_t: List[float] = []
+        self._log_s: List[int] = []
         self._log_base = self._seq
-        self._log_last = None
+        self._log_last: Optional[float] = None
         self.on_event = self._log_instant
 
     def _log_instant(self, ev) -> None:
