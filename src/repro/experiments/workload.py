@@ -15,7 +15,7 @@ many-flow experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.core.params import TcpParams
 from repro.core.socket_api import TcpStack
@@ -87,6 +87,24 @@ class GoodputMeter:
         return self.bytes * 8.0 / elapsed if elapsed > 0 else 0.0
 
 
+class FlowReceiver:
+    """The receiver half of a flow: listen on its port, meter the bytes.
+
+    :class:`BulkTransfer` and :class:`SensorStream` build their receiver
+    side with it, and a :class:`FlowSet` that owns only a flow's
+    destination runs it alone.  Bound methods only (no closures), so
+    checkpoints clone it with the simulation.
+    """
+
+    def __init__(self, sim, stack: TcpStack, port: int,
+                 params: Optional[TcpParams] = None):
+        self.meter = GoodputMeter(sim)
+        stack.listen(port, self._on_accept, params=params)
+
+    def _on_accept(self, conn) -> None:
+        conn.on_data = self.meter.on_data
+
+
 @dataclass
 class BulkResult:
     """Outcome of one bulk transfer measurement."""
@@ -130,14 +148,15 @@ class BulkTransfer:
         payload_byte: bytes = b"a",
     ):
         self.sim = sim
-        self.meter = GoodputMeter(sim)
         self.connected = False
         self._conn = None
         self._closed = False
         self.errors: List[str] = []
         self._payload = payload_byte * self.CHUNK
 
-        receiver_stack.listen(port, self._on_accept, params=receiver_params)
+        self.receiver = FlowReceiver(sim, receiver_stack, port,
+                                     params=receiver_params)
+        self.meter = self.receiver.meter
         self._conn = sender_stack.connect(
             receiver_id, port, params=params, dst_is_cloud=dst_is_cloud
         )
@@ -176,9 +195,6 @@ class BulkTransfer:
     # whole harness must clone with the simulation under
     # repro.sim.checkpoint, and a closure would keep pointing at the
     # original object graph after a restore.
-    def _on_accept(self, conn) -> None:
-        conn.on_data = self.meter.on_data
-
     def _on_error(self, err) -> None:
         self.errors.append(err)
 
@@ -246,7 +262,6 @@ class SensorStream:
         payload_byte: bytes = b"s",
     ):
         self.sim = sim
-        self.meter = GoodputMeter(sim)
         self.connected = False
         self.errors: List[str] = []
         self.reports_sent = 0
@@ -255,7 +270,9 @@ class SensorStream:
         self._tick_event = None
         self._interval = interval
 
-        receiver_stack.listen(port, self._on_accept, params=receiver_params)
+        self.receiver = FlowReceiver(sim, receiver_stack, port,
+                                     params=receiver_params)
+        self.meter = self.receiver.meter
         self._conn = sender_stack.connect(
             receiver_id, port, params=params, dst_is_cloud=dst_is_cloud
         )
@@ -276,9 +293,6 @@ class SensorStream:
     def _cruise_veto(self) -> bool:
         conn = self._conn
         return conn is not None and conn.state.name not in ("CLOSED", "TIME_WAIT")
-
-    def _on_accept(self, conn) -> None:
-        conn.on_data = self.meter.on_data
 
     def _on_error(self, err) -> None:
         self.errors.append(err)
@@ -377,6 +391,19 @@ class FlowSetResult:
     def aggregate_goodput_kbps(self) -> float:
         return self.aggregate_goodput_bps / 1000.0
 
+    @classmethod
+    def of(cls, flows: List[FlowResult], duration: float) -> "FlowSetResult":
+        """Aggregate per-flow results measured over one window."""
+        goodputs = [f.goodput_bps for f in flows]
+        return cls(
+            flows=flows,
+            duration=duration,
+            aggregate_goodput_bps=sum(goodputs),
+            fairness=jain_fairness(goodputs),
+            flows_connected=sum(1 for f in flows if f.connected),
+            bytes_delivered=sum(f.bytes_delivered for f in flows),
+        )
+
 
 class FlowSet:
     """Launches, staggers, and meters N concurrent flows on one network.
@@ -387,6 +414,14 @@ class FlowSet:
     Flows launch at their ``spec.start`` times; goodput is metered
     per-flow from the measurement window's start regardless of launch
     order, so late flows simply contribute zero until they begin.
+
+    ``owned`` restricts the set to the flows a slice of the network
+    carries — a shard worker passes the node ids it owns.  ``None``
+    (the default) owns every node.  A flow with no owned endpoint
+    schedules nothing; a flow whose sender is not owned gets only its
+    :class:`FlowReceiver` (the sender's stack is never built); every
+    other flow gets its full driver.  Port numbering is global either
+    way, so each slice agrees with the whole.
 
     Typical use::
 
@@ -403,12 +438,15 @@ class FlowSet:
         base_port: int = 9000,
         params: Optional[TcpParams] = None,
         receiver_params: Optional[TcpParams] = None,
+        owned: Optional[Iterable[int]] = None,
     ):
         self.net = net
         self.sim = net.sim
         self.specs = list(specs)
         self.params = params
         self.receiver_params = receiver_params
+        self.owned: Optional[FrozenSet[int]] = (
+            None if owned is None else frozenset(owned))
         self._stacks: Dict[int, TcpStack] = {}
         self.drivers: List[Optional[object]] = [None] * len(self.specs)
         self.ports: List[int] = []
@@ -420,12 +458,20 @@ class FlowSet:
                 raise ValueError(
                     f"flow {index}: unknown node in {spec.src}->{spec.dst}"
                 )
+            if spec.kind not in ("bulk", "sensor"):
+                raise ValueError(f"flow {index}: unknown kind {spec.kind!r}")
             port = spec.port if spec.port is not None else base_port + index
             self.ports.append(port)
+            if not (self.owns(spec.src) or self.owns(spec.dst)):
+                continue
             if spec.start > 0:
                 self.sim.schedule(spec.start, self._launch, index)
             else:
                 self._launch(index)
+
+    def owns(self, node_id: int) -> bool:
+        """Whether this flow set drives ``node_id``'s side of its flows."""
+        return self.owned is None or node_id in self.owned
 
     def stack_for(self, node_id: int) -> TcpStack:
         """The shared per-node stack (built on first use)."""
@@ -439,25 +485,29 @@ class FlowSet:
 
     def _launch(self, index: int) -> None:
         spec = self.specs[index]
-        sender = self.stack_for(spec.src)
-        receiver = self.stack_for(spec.dst)
-        common = dict(
-            port=self.ports[index],
-            params=spec.params or self.params,
-            receiver_params=(spec.receiver_params or self.receiver_params
-                             or spec.params or self.params),
-            dst_is_cloud=spec.dst_is_cloud,
-        )
-        if spec.kind == "bulk":
-            driver = BulkTransfer(self.sim, sender, receiver,
-                                  receiver_id=spec.dst, **common)
-        elif spec.kind == "sensor":
-            driver = SensorStream(self.sim, sender, receiver,
-                                  receiver_id=spec.dst,
-                                  report_bytes=spec.report_bytes,
-                                  interval=spec.interval, **common)
+        receiver_params = (spec.receiver_params or self.receiver_params
+                           or spec.params or self.params)
+        if not self.owns(spec.src):
+            # the sender lives elsewhere; its SYN arrives over the air
+            driver = FlowReceiver(self.sim, self.stack_for(spec.dst),
+                                  self.ports[index], params=receiver_params)
         else:
-            raise ValueError(f"flow {index}: unknown kind {spec.kind!r}")
+            sender = self.stack_for(spec.src)
+            receiver = self.stack_for(spec.dst)
+            common = dict(
+                port=self.ports[index],
+                params=spec.params or self.params,
+                receiver_params=receiver_params,
+                dst_is_cloud=spec.dst_is_cloud,
+            )
+            if spec.kind == "bulk":
+                driver = BulkTransfer(self.sim, sender, receiver,
+                                      receiver_id=spec.dst, **common)
+            else:
+                driver = SensorStream(self.sim, sender, receiver,
+                                      receiver_id=spec.dst,
+                                      report_bytes=spec.report_bytes,
+                                      interval=spec.interval, **common)
         self.drivers[index] = driver
         if self._measuring:
             driver.meter.start()
@@ -474,35 +524,25 @@ class FlowSet:
                 driver.meter.start()
 
     def results(self, duration: float) -> FlowSetResult:
-        """Collect per-flow and aggregate stats for a closed window."""
+        """Collect per-flow and aggregate stats for a closed window.
+
+        A flow reports the bytes its owned receiver metered, and
+        ``connected``/``errors`` only where its sender is owned.
+        """
         flows: List[FlowResult] = []
         for index, spec in enumerate(self.specs):
             driver = self.drivers[index]
-            if driver is None:  # never launched (start beyond the run)
-                flows.append(FlowResult(
-                    index=index, src=spec.src, dst=spec.dst,
-                    port=self.ports[index], kind=spec.kind,
-                    goodput_bps=0.0, bytes_delivered=0, connected=False,
-                ))
-                continue
+            nbytes = driver.meter.bytes if driver is not None else 0
+            sender = driver if self.owns(spec.src) else None
             flows.append(FlowResult(
                 index=index, src=spec.src, dst=spec.dst,
                 port=self.ports[index], kind=spec.kind,
-                goodput_bps=driver.meter.bytes * 8.0 / duration
-                if duration > 0 else 0.0,
-                bytes_delivered=driver.meter.bytes,
-                connected=driver.connected,
-                errors=list(driver.errors),
+                goodput_bps=nbytes * 8.0 / duration if duration > 0 else 0.0,
+                bytes_delivered=nbytes,
+                connected=sender.connected if sender is not None else False,
+                errors=list(sender.errors) if sender is not None else [],
             ))
-        goodputs = [f.goodput_bps for f in flows]
-        return FlowSetResult(
-            flows=flows,
-            duration=duration,
-            aggregate_goodput_bps=sum(goodputs),
-            fairness=jain_fairness(goodputs),
-            flows_connected=sum(1 for f in flows if f.connected),
-            bytes_delivered=sum(f.bytes_delivered for f in flows),
-        )
+        return FlowSetResult.of(flows, duration)
 
     def measure(self, warmup: float, duration: float) -> FlowSetResult:
         """Run warmup + duration sim-seconds; meter the latter window."""

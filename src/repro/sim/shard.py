@@ -41,12 +41,19 @@ so a muted node never receives, never transmits, and never draws from
 its RNG streams.  Fault schedules are armed in every replica, so a
 remote sender's crash/reboot state is mirrored exactly where its ghost
 frames land.  Carrier sense and collision marking use the full
-adjacency, and ghost frames join ``Medium._active`` like local ones, so
-the channel physics is whole in every shard.
+adjacency, and ghost frames go on the air through
+:meth:`Medium.begin_transmission` like local ones, so the channel
+physics is whole in every shard.  The workload is the single-process
+:class:`FlowSet` over the owned set: a flow with no owned endpoint
+schedules nothing, a foreign sender's flow gets only its receiver half.
 
-**Merging.**  Each node's events, per-node metrics and flow bytes are
-taken from its owner shard only; replica-identical unlabelled metrics
-(fault injections) come from shard 0.  The merged trace is sorted by
+**Merging.**  Non-owner copies exist — a ghost counts its sender's
+``phy.tx`` and emits its ``tx_begin`` event in every shard it lands in
+— and merging discards them: each node's events and per-node metrics
+are taken from its owner shard only, each flow's bytes from its
+destination's owner and its ``connected``/``errors`` from its source's
+owner; replica-identical unlabelled metrics (fault injections) come
+from shard 0.  The merged trace is sorted by
 ``(time, node, per-node occurrence)`` — a canonical order both the
 oracle trace and any shard count reproduce.  Exact float *ties* between
 a foreign frame's air start and a local event fall back to scheduling
@@ -86,20 +93,13 @@ import pickle
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.experiments.workload import (
-    BulkTransfer,
-    FlowSpec,
-    FlowSet,
-    GoodputMeter,
-    SensorStream,
-    jain_fairness,
-)
+from repro.experiments.workload import FlowSet, FlowSetResult, FlowSpec
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.node import NodeConfig
-from repro.phy.medium import Medium, Transmission
+from repro.phy.medium import Medium
 from repro.phy.params import PhyParams
 from repro.sim import metrics as _metrics
 from repro.sim.checkpoint import Checkpoint
@@ -190,7 +190,13 @@ class ShardRecipe:
         else:
             if "num_nodes" not in kw:
                 raise ShardError("random builder needs num_nodes=")
+        # Workers would only catch a bad endpoint after forking, once
+        # per shard; the geometry names every node up front.
+        known = recipe_positions(self) if self.flows else {}
         for index, spec in enumerate(self.flows):
+            if spec.src not in known or spec.dst not in known:
+                raise ShardError(f"flow {index}: unknown node in "
+                                 f"{spec.src}->{spec.dst}")
             if spec.kind not in ("bulk", "sensor"):
                 raise ShardError(
                     f"flow {index}: kind {spec.kind!r} is not shardable")
@@ -359,37 +365,16 @@ class ShardMedium(Medium):
                     air_time: float) -> None:
         """Put a foreign shard's committed frame on this shard's air.
 
-        Mirrors :meth:`Medium.begin_transmission` *without* the sender's
-        metrics/trace (those belong to the sender's owner shard) and
-        with the owner-side ``powered`` guard: if the replicated fault
-        schedule crashed the sender before air start, the owner's
-        ``_start_air`` dropped the frame, so the ghost must vanish too.
+        The frame goes through :meth:`Medium.begin_transmission` like a
+        local one, behind the owner-side ``powered`` guard: if the
+        replicated fault schedule crashed the sender before air start,
+        the owner's ``_start_air`` dropped the frame, so the ghost must
+        vanish too.  The sender's ``phy.tx`` count and ``tx_begin``
+        event land here too; merging keeps only the owner shard's copy.
         """
         radio = self.radios[sender_id]
-        if not radio.powered:
-            return
-        now = self.sim.now
-        tx = Transmission(radio, frame, now, now + air_time)
-        if self._active:
-            sets = self._neighbor_sets
-            if sets is None:
-                sets = self._build_cache()
-            pairs = self._pair_overlap
-            for other in self._active:
-                other_id = other.sender.node_id
-                key = (sender_id, other_id)
-                both = pairs.get(key)
-                if both is None:
-                    both = sets[sender_id] & sets[other_id]
-                    both.discard(sender_id)
-                    both.discard(other_id)
-                    pairs[key] = both
-                    pairs[(other_id, sender_id)] = both
-                if both:
-                    tx.spoiled |= both
-                    other.spoiled |= both
-        self._active.append(tx)
-        self.sim.schedule_unref(air_time, self._end_transmission, tx)
+        if radio.powered:
+            self.begin_transmission(radio, frame, air_time)
 
 
 def shard_adopt(medium: Medium, owned: FrozenSet[int]) -> None:
@@ -538,139 +523,6 @@ class _ShardState:
                  targets))
 
 
-class _ListenerHalf:
-    """The receiver half of a flow whose sender lives in another shard.
-
-    Mirrors exactly what :class:`BulkTransfer`/:class:`SensorStream` do
-    on the receiver side: listen on the flow's port and meter delivered
-    bytes.  Bound methods only, so checkpoints clone it cleanly.
-    """
-
-    def __init__(self, sim, stack, port: int, receiver_params):
-        self.meter = GoodputMeter(sim)
-        stack.listen(port, self._on_accept, params=receiver_params)
-
-    def _on_accept(self, conn) -> None:
-        conn.on_data = self.meter.on_data
-
-
-class _WorkerFlows:
-    """This shard's slice of the recipe's flow set.
-
-    Construction mirrors :class:`repro.experiments.workload.FlowSet`
-    call-for-call for every flow touching an owned node (same global
-    port numbering, same launch scheduling, same stack construction),
-    and skips flows whose endpoints are both foreign — their activity
-    never reaches this shard's nodes.
-    """
-
-    def __init__(self, net, recipe: ShardRecipe, owned: FrozenSet[int]):
-        self.net = net
-        self.sim = net.sim
-        self.specs: List[FlowSpec] = list(recipe.flows)
-        self.params = recipe.params
-        self.receiver_params = recipe.receiver_params
-        self._owned = frozenset(owned)
-        self._stacks: Dict[int, object] = {}
-        self.drivers: Dict[int, object] = {}
-        self.listeners: Dict[int, _ListenerHalf] = {}
-        self.ports: List[int] = []
-        self._measuring = False
-        for index, spec in enumerate(self.specs):
-            if spec.src not in net.nodes or spec.dst not in net.nodes:
-                raise ShardError(
-                    f"flow {index}: unknown node in {spec.src}->{spec.dst}")
-            port = (spec.port if spec.port is not None
-                    else recipe.base_port + index)
-            self.ports.append(port)
-            if spec.src not in self._owned and spec.dst not in self._owned:
-                continue
-            if spec.start > 0:
-                self.sim.schedule(spec.start, self._launch, index)
-            else:
-                self._launch(index)
-
-    def stack_for(self, node_id: int):
-        from repro.core.socket_api import TcpStack
-
-        stack = self._stacks.get(node_id)
-        if stack is None:
-            node = self.net.nodes[node_id]
-            stack = TcpStack(self.sim, node.ipv6, node_id,
-                             cpu=node.radio.cpu, sleepy=node.sleepy)
-            self._stacks[node_id] = stack
-        return stack
-
-    def _launch(self, index: int) -> None:
-        spec = self.specs[index]
-        receiver_params = (spec.receiver_params or self.receiver_params
-                           or spec.params or self.params)
-        if spec.src in self._owned:
-            # Sender side: the full driver, exactly as FlowSet builds
-            # it.  The receiver stack may be a muted replica's —
-            # harmless: its listener never sees a frame, the real
-            # accept happens in the destination's owner shard.
-            sender = self.stack_for(spec.src)
-            receiver = self.stack_for(spec.dst)
-            common = dict(
-                port=self.ports[index],
-                params=spec.params or self.params,
-                receiver_params=receiver_params,
-                dst_is_cloud=False,
-            )
-            if spec.kind == "bulk":
-                driver = BulkTransfer(self.sim, sender, receiver,
-                                      receiver_id=spec.dst, **common)
-            else:
-                driver = SensorStream(self.sim, sender, receiver,
-                                      receiver_id=spec.dst,
-                                      report_bytes=spec.report_bytes,
-                                      interval=spec.interval, **common)
-            self.drivers[index] = driver
-            if self._measuring:
-                driver.meter.start()
-        else:
-            # Receiver side only: the sender's SYN arrives as a ghost.
-            listener = _ListenerHalf(
-                self.sim, self.stack_for(spec.dst), self.ports[index],
-                receiver_params,
-            )
-            self.listeners[index] = listener
-            if self._measuring:
-                listener.meter.start()
-
-    def start_metering(self) -> None:
-        self._measuring = True
-        for driver in self.drivers.values():
-            driver.meter.start()
-        for listener in self.listeners.values():
-            listener.meter.start()
-
-    def collect(self) -> List[Dict[str, Any]]:
-        """Per-flow partials; the coordinator merges across shards."""
-        out: List[Dict[str, Any]] = []
-        for index, spec in enumerate(self.specs):
-            entry: Dict[str, Any] = {"index": index}
-            if spec.src in self._owned:
-                driver = self.drivers.get(index)
-                entry["launched"] = driver is not None
-                entry["connected"] = (driver.connected
-                                      if driver is not None else False)
-                entry["errors"] = (list(driver.errors)
-                                   if driver is not None else [])
-            if spec.dst in self._owned:
-                driver = self.drivers.get(index)
-                listener = self.listeners.get(index)
-                if listener is not None:
-                    entry["bytes"] = listener.meter.bytes
-                elif driver is not None:
-                    entry["bytes"] = driver.meter.bytes
-                else:
-                    entry["bytes"] = 0
-            out.append(entry)
-        return out
-
-
 def _cross_in_flight(medium: Medium, state: _ShardState) -> int:
     """Foreign (ghost) frames currently on this shard's air."""
     owned = state.owned
@@ -706,13 +558,15 @@ def _build_worker(payload: Dict[str, Any]):
                         payload["owner_of"], neighbor_sets,
                         payload["delta"])
     net.medium.tx_commit_hook = state.on_commit
-    flows = _WorkerFlows(net, recipe, owned)
+    flows = FlowSet(net, recipe.flows, base_port=recipe.base_port,
+                    params=recipe.params,
+                    receiver_params=recipe.receiver_params, owned=owned)
     roots = {"state": state, "net": net, "flows": flows,
              "injector": injector}
     return net.sim, roots
 
 
-def _collect_worker(sim, roots) -> Dict[str, Any]:
+def _collect_worker(sim, roots, duration: float) -> Dict[str, Any]:
     state: _ShardState = roots["state"]
     net = roots["net"]
     owner_of = state.owner_of
@@ -729,7 +583,7 @@ def _collect_worker(sim, roots) -> Dict[str, Any]:
         "index": index,
         "trace": trace,
         "metrics": snapshot,
-        "flows": roots["flows"].collect(),
+        "flows": roots["flows"].results(duration).flows,
         "events": sim.events_processed,
         "wall_s": state.wall,
         "now": sim.now,
@@ -748,7 +602,7 @@ def _worker_main(conn, payload: Dict[str, Any]) -> None:
             sim, roots = Checkpoint.from_bytes(payload["blob"]).restore()
         state: _ShardState = roots["state"]
         net = roots["net"]
-        flows: _WorkerFlows = roots["flows"]
+        flows: FlowSet = roots["flows"]
         medium = net.medium
         conn.send(("ready", sim.peek_time()))
         while True:
@@ -783,7 +637,7 @@ def _worker_main(conn, payload: Dict[str, Any]) -> None:
                 conn.send(("ckpt", blob,
                            _cross_in_flight(medium, state)))
             elif cmd == "collect":
-                conn.send(("result", _collect_worker(sim, roots)))
+                conn.send(("result", _collect_worker(sim, roots, msg[1])))
             elif cmd == "close":
                 conn.send(("ok",))
                 return
@@ -1058,17 +912,10 @@ class ShardedSimulator:
 
         A single shard owns every node, so no frame ever crosses a
         boundary and the lock-stepped windows are pure overhead: the
-        phase collapses to one exclusive window (same event order —
+        phase collapses to the final window pair (same event order —
         there are no ghosts to inject at intermediate barriers).
         """
-        if self.shards == 1:
-            self._step("advance", until)
-            self._step("instant", until)
-            if (checkpoint_at is not None and self.last_checkpoint is None
-                    and checkpoint_at <= until):
-                self._capture_checkpoint()
-            return
-        while True:
+        while self.shards > 1:
             candidates = [p for p in self._peeks if p is not None]
             candidates.extend(g[1] for g in self._ghost_out)
             if not candidates:
@@ -1128,7 +975,7 @@ class ShardedSimulator:
 
     def finalize(self, duration: float) -> Dict[str, Any]:
         """Collect every shard's partials and merge (workers stay up)."""
-        results = [self._request(k, ("collect",), "result")[1]
+        results = [self._request(k, ("collect", duration), "result")[1]
                    for k in range(self.shards)]
         return merge_results(self.recipe, results, self.owner_of, duration)
 
@@ -1217,15 +1064,23 @@ def merge_metrics(
     return merged
 
 
-def _flow_dicts_from_result(result) -> List[Dict[str, Any]]:
-    """Oracle FlowSetResult -> the comparable per-flow dict shape."""
-    return [
-        {"index": f.index, "src": f.src, "dst": f.dst, "port": f.port,
-         "kind": f.kind, "bytes": f.bytes_delivered,
-         "goodput_bps": f.goodput_bps, "connected": f.connected,
-         "errors": list(f.errors)}
-        for f in result.flows
-    ]
+def _flow_block(result: FlowSetResult) -> Dict[str, Any]:
+    """A FlowSetResult as the comparable ``flows``/``aggregate`` dicts."""
+    return {
+        "flows": [
+            {"index": f.index, "src": f.src, "dst": f.dst, "port": f.port,
+             "kind": f.kind, "bytes": f.bytes_delivered,
+             "goodput_bps": f.goodput_bps, "connected": f.connected,
+             "errors": list(f.errors)}
+            for f in result.flows
+        ],
+        "aggregate": {
+            "goodput_bps": result.aggregate_goodput_bps,
+            "fairness": result.fairness,
+            "flows_connected": result.flows_connected,
+            "bytes_delivered": result.bytes_delivered,
+        },
+    }
 
 
 def merge_results(
@@ -1234,7 +1089,7 @@ def merge_results(
     owner_of: Dict[int, int],
     duration: float,
 ) -> Dict[str, Any]:
-    """Merge per-shard collect() payloads into one oracle-shaped result."""
+    """Merge per-shard ``collect`` payloads into one oracle-shaped result."""
     by_index = {r["index"]: r for r in results}
     ordered = [by_index[k] for k in range(len(results))]
     trace: List[Dict[str, Any]] = []
@@ -1245,32 +1100,17 @@ def merge_results(
     metrics = None
     if recipe.capture_metrics and ordered[0]["metrics"] is not None:
         metrics = merge_metrics([r["metrics"] for r in ordered], owner_of)
-    flows: List[Dict[str, Any]] = []
+    # bytes from the destination's owner, the outcome from the source's
+    flows = []
     for index, spec in enumerate(recipe.flows):
-        port = (spec.port if spec.port is not None
-                else recipe.base_port + index)
-        src_part = ordered[owner_of[spec.src]]["flows"][index]
-        dst_part = ordered[owner_of[spec.dst]]["flows"][index]
-        nbytes = dst_part.get("bytes", 0)
-        flows.append({
-            "index": index, "src": spec.src, "dst": spec.dst,
-            "port": port, "kind": spec.kind, "bytes": nbytes,
-            "goodput_bps": (nbytes * 8.0 / duration
-                            if duration > 0 else 0.0),
-            "connected": src_part.get("connected", False),
-            "errors": src_part.get("errors", []),
-        })
-    goodputs = [f["goodput_bps"] for f in flows]
+        received = ordered[owner_of[spec.dst]]["flows"][index]
+        sent = ordered[owner_of[spec.src]]["flows"][index]
+        flows.append(replace(
+            received, connected=sent.connected, errors=sent.errors))
     return {
         "trace": trace,
         "metrics": metrics,
-        "flows": flows,
-        "aggregate": {
-            "goodput_bps": sum(goodputs),
-            "fairness": jain_fairness(goodputs),
-            "flows_connected": sum(1 for f in flows if f["connected"]),
-            "bytes_delivered": sum(f["bytes"] for f in flows),
-        },
+        **_flow_block(FlowSetResult.of(flows, duration)),
         "per_shard": [
             {"index": r["index"], "events": r["events"],
              "wall_s": r["wall_s"], "now": r["now"],
@@ -1313,18 +1153,10 @@ def run_oracle(recipe: ShardRecipe, warmup: float,
             trace = canonical_trace([ev.as_dict() for ev in bus.events])
         if recipe.capture_metrics:
             metrics = registry.snapshot()
-    flow_dicts = _flow_dicts_from_result(result)
-    goodputs = [f["goodput_bps"] for f in flow_dicts]
     return {
         "trace": trace,
         "metrics": metrics,
-        "flows": flow_dicts,
-        "aggregate": {
-            "goodput_bps": sum(goodputs),
-            "fairness": jain_fairness(goodputs),
-            "flows_connected": result.flows_connected,
-            "bytes_delivered": result.bytes_delivered,
-        },
+        **_flow_block(result),
         "events": net.sim.events_processed,
         "wall_s": wall,
         "now": net.sim.now,

@@ -97,6 +97,7 @@ def gate_kwargs(**overrides):
     (dict(chaos={"name": "x", "faults": [
         {"kind": "bursty_loss", "p_good_bad": 0.03,
          "p_bad_good": 0.3}]}), "global RNG"),
+    (dict(flows=[FlowSpec(src=0, dst=20)]), "unknown node"),
 ])
 def test_unshardable_recipes_are_refused(mutate, match):
     recipe = default_gate_recipe()
@@ -191,9 +192,22 @@ def test_ghost_keys_stay_unique_and_monotone():
 # ----------------------------------------------------------------------
 # oracle equivalence (short-horizon version of the CI gate)
 # ----------------------------------------------------------------------
-def test_sharded_matches_oracle_byte_for_byte():
-    report = equivalence_report(default_gate_recipe(), warmup=0.4,
-                                duration=0.8, shard_counts=[1, 2])
+def gate_with_local_flow():
+    # Nodes 8 and 9 share the cols 3-4 band at 2 shards, so one flow
+    # stays inside a shard; at 3 shards the middle band owns neither
+    # endpoint of the 4->0 flow.
+    recipe = default_gate_recipe()
+    recipe.flows.append(FlowSpec(src=8, dst=9, start=0.3))
+    return recipe
+
+
+@pytest.mark.parametrize("recipe, shard_counts", [
+    (default_gate_recipe(), [1, 2]),
+    (gate_with_local_flow(), [2, 3]),
+], ids=["gate", "gate+local_flow"])
+def test_sharded_matches_oracle_byte_for_byte(recipe, shard_counts):
+    report = equivalence_report(recipe, warmup=0.4, duration=0.8,
+                                shard_counts=shard_counts)
     assert report["ok"], report["failures"]
     for run in report["runs"]:
         assert run["identical"]

@@ -7,6 +7,7 @@ from repro.core.socket_api import TcpStack
 from repro.experiments.topology import build_chain, build_pair
 from repro.experiments.workload import (
     BulkTransfer,
+    FlowReceiver,
     FlowSet,
     FlowSpec,
     GoodputMeter,
@@ -224,3 +225,26 @@ class TestFlowSet:
             FlowSet(net, [FlowSpec(src=1, dst=55)])
         with pytest.raises(ValueError, match="unknown kind"):
             FlowSet(net, [FlowSpec(src=1, dst=0, kind="torrent")])
+
+    def test_owned_slice_drives_only_its_side(self):
+        specs = [FlowSpec(src=3, dst=0),            # receiver half
+                 FlowSpec(src=3, dst=2, start=0.5),  # foreign-foreign
+                 FlowSpec(src=1, dst=2)]            # full driver
+        # a listener schedules nothing and a foreign-foreign flow gets
+        # no launch event
+        net = build_chain(3, seed=12)
+        pending = net.sim.pending_count()
+        FlowSet(net, specs[:2], owned={0, 1})
+        assert net.sim.pending_count() == pending
+
+        net = build_chain(3, seed=12)
+        flows = FlowSet(net, specs, params=tcplp_params(), owned={0, 1})
+        assert flows.owns(0) and flows.owns(1) and not flows.owns(3)
+        assert type(flows.drivers[0]) is FlowReceiver
+        assert isinstance(flows.drivers[2], BulkTransfer)
+        assert flows.ports == [9000, 9001, 9002]  # numbering stays global
+        res = flows.measure(warmup=1.0, duration=4.0)
+        assert flows.drivers[1] is None
+        assert sorted(flows._stacks) == [0, 1, 2]  # never the sender 3
+        assert res.flows[0].connected is False and res.flows[0].errors == []
+        assert res.flows[2].connected and res.flows[2].bytes_delivered > 0
