@@ -56,6 +56,14 @@ from repro.net.ipv6 import ECN_CE, ECN_ECT0, ECN_NOT_ECT, PROTO_TCP
 from repro.sim.timers import Timer
 from repro.sim.trace import TraceRecorder
 
+#: per-node TCP counts a metrics registry exports from the trace bag; the
+#: per-kind retransmit counts become ``tcp.retransmits{kind=...}``
+_TCP_EXPORTS = tuple((name, name, ()) for name in (
+    "tcp.segs_sent", "tcp.segs_rcvd", "tcp.dupacks", "tcp.rto_events",
+    "tcp.zero_window_probes", "tcp.sack_blocks_sent")) + tuple(
+    ("tcp.retransmits_" + kind, "tcp.retransmits", (("kind", kind),))
+    for kind in ("rto", "fast", "sack"))
+
 #: BSD option names -> (TcpParams field, invert) — ``invert`` flips the
 #: boolean both ways (TCP_NODELAY is the negation of Nagle).
 SOCKET_OPTION_ALIASES = {
@@ -218,48 +226,29 @@ class TcpConnection:
         self._last_advertised_window = p.recv_buffer
         self.bytes_delivered = 0
 
-        # observability (no-op when the simulator carries no registry)
+        # observability: gauges and histograms only exist with a
+        # registry; counts always go to the trace bag it exports
         self._bus = getattr(sim, "trace_bus", None)
         metrics = getattr(sim, "metrics", None)
         self._rexmit_kind = "rto"
+        self._g_cwnd = None
         if metrics is not None:
             nid = local_id
-            self._m_segs_sent = metrics.counter("tcp.segs_sent", node=nid)
-            self._m_segs_rcvd = metrics.counter("tcp.segs_rcvd", node=nid)
-            self._m_retransmits = {
-                kind: metrics.counter("tcp.retransmits", node=nid, kind=kind)
-                for kind in ("rto", "fast", "sack")
-            }
-            self._m_dupacks = metrics.counter("tcp.dupacks", node=nid)
-            self._m_rto_events = metrics.counter("tcp.rto_events", node=nid)
-            self._m_zwp = metrics.counter(
-                "tcp.zero_window_probes", node=nid)
-            self._m_sack_blocks = metrics.counter(
-                "tcp.sack_blocks_sent", node=nid)
+            metrics.export(self.trace.counters, _TCP_EXPORTS, node=nid)
             self._g_cwnd = metrics.gauge("tcp.cwnd", node=nid)
             self._g_ssthresh = metrics.gauge("tcp.ssthresh", node=nid)
             self._g_srtt = metrics.gauge("tcp.srtt_seconds", node=nid)
             self._g_rto = metrics.gauge("tcp.rto_seconds", node=nid)
             self._h_rtt = metrics.histogram("tcp.rtt_seconds", node=nid)
+        if metrics is not None or self._bus is not None:
             self.cc.on_window_change = self._on_window_change
             self.rtt.on_update = self._on_rtt_update
-        else:
-            self._m_segs_sent = None
-            self._m_segs_rcvd = None
-            self._m_retransmits = None
-            self._m_dupacks = None
-            self._m_rto_events = None
-            self._m_zwp = None
-            self._m_sack_blocks = None
-            if self._bus is not None:
-                self.cc.on_window_change = self._on_window_change
-                self.rtt.on_update = self._on_rtt_update
 
     # ------------------------------------------------------------------
     # metrics observers (wired to cc/rtt only when observability is on)
     # ------------------------------------------------------------------
     def _on_window_change(self, now: float, cwnd: int, ssthresh: int) -> None:
-        if self._m_segs_sent is not None:
+        if self._g_cwnd is not None:
             self._g_cwnd.set(cwnd)
             self._g_ssthresh.set(ssthresh)
         if self._bus is not None:
@@ -267,7 +256,7 @@ class TcpConnection:
                            cwnd=cwnd, ssthresh=ssthresh)
 
     def _on_rtt_update(self, sample: float, srtt: float, rto: float) -> None:
-        if self._m_segs_sent is not None:
+        if self._g_cwnd is not None:
             self._h_rtt.observe(sample)
             self._g_srtt.set(srtt)
             self._g_rto.set(rto)
@@ -591,16 +580,15 @@ class TcpConnection:
             ecn_bits = ECN_ECT0
         self._charge_cpu()
         self.trace.counters.incr("tcp.segs_sent")
-        if self._m_segs_sent is not None:
-            self._m_segs_sent.inc()
-            if opts.sack_blocks:
-                self._m_sack_blocks.inc(len(opts.sack_blocks))
+        if opts.sack_blocks:
+            self.trace.counters.incr("tcp.sack_blocks_sent",
+                                     len(opts.sack_blocks))
         if data:
             self.trace.counters.incr("tcp.data_segs_sent")
             if is_retransmit:
                 self.trace.counters.incr("tcp.retransmits")
-                if self._m_retransmits is not None:
-                    self._m_retransmits[self._rexmit_kind].inc()
+                self.trace.counters.incr(
+                    "tcp.retransmits_" + self._rexmit_kind)
                 if self._bus is not None:
                     self._bus.emit("tcp", self.local_id, "retransmit",
                                    seq=seq, kind=self._rexmit_kind,
@@ -627,8 +615,6 @@ class TcpConnection:
             if self.params.ecn:
                 flags |= FLAG_ECE | FLAG_CWR
         self.trace.counters.incr("tcp.segs_sent")
-        if self._m_segs_sent is not None:
-            self._m_segs_sent.inc()
         self._charge_cpu()
         seg = Segment(
             src_port=self.local_port,
@@ -694,8 +680,6 @@ class TcpConnection:
             self._error_out("connection timed out (data)")
             return
         self.trace.counters.incr("tcp.rto_events")
-        if self._m_rto_events is not None:
-            self._m_rto_events.inc()
         if self._bus is not None:
             self._bus.emit("tcp", self.local_id, "rto",
                            shift=self.rto_shift, snd_una=self.snd_una)
@@ -747,8 +731,6 @@ class TcpConnection:
             return
         # window probe: one byte past the edge
         self.trace.counters.incr("tcp.zero_window_probes")
-        if self._m_zwp is not None:
-            self._m_zwp.inc()
         if self._bus is not None:
             self._bus.emit("tcp", self.local_id, "zero_window_probe",
                            shift=self._persist_shift)
@@ -803,8 +785,6 @@ class TcpConnection:
         else:
             self._charge_cpu()
         self.trace.counters.incr("tcp.segs_rcvd")
-        if self._m_segs_rcvd is not None:
-            self._m_segs_rcvd.inc()
         self._last_activity = self.sim.now - self.sim.time_warped
         self._keepalive_unanswered = 0
         if self.state is TcpState.CLOSED:
@@ -1096,8 +1076,6 @@ class TcpConnection:
             return
         self.dupacks += 1
         self.trace.counters.incr("tcp.dupacks")
-        if self._m_dupacks is not None:
-            self._m_dupacks.inc()
         if self.cc.in_recovery:
             self.cc.on_dupack_in_recovery(self.sim.now)
             self.output()

@@ -31,6 +31,12 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
 
+#: per-node MAC counts a metrics registry exports from the trace bag
+_MAC_EXPORTS = tuple((name, name, ()) for name in (
+    "mac.frames_tx", "mac.csma_backoffs", "mac.csma_failures",
+    "mac.link_retries", "mac.ack_timeouts", "mac.tx_failures",
+    "mac.tail_drops"))
+
 
 @dataclass
 class MacParams:
@@ -95,28 +101,10 @@ class MacLayer:
         # overhead is measurable at frame dispatch rates.
         self._counts = self.trace.counters._counts
         self._cpu = radio.cpu
-        # Observability instruments, resolved once; all None when the
-        # simulation carries no registry so each emission site costs a
-        # single identity test on the disabled path.
         self._bus = getattr(sim, "trace_bus", None)
         metrics = getattr(sim, "metrics", None)
         if metrics is not None:
-            nid = self.node_id
-            self._m_frames_tx = metrics.counter("mac.frames_tx", node=nid)
-            self._m_backoffs = metrics.counter("mac.csma_backoffs", node=nid)
-            self._m_csma_fail = metrics.counter("mac.csma_failures", node=nid)
-            self._m_retries = metrics.counter("mac.link_retries", node=nid)
-            self._m_ack_timeouts = metrics.counter("mac.ack_timeouts", node=nid)
-            self._m_tx_fail = metrics.counter("mac.tx_failures", node=nid)
-            self._m_tail_drops = metrics.counter("mac.tail_drops", node=nid)
-        else:
-            self._m_frames_tx = None
-            self._m_backoffs = None
-            self._m_csma_fail = None
-            self._m_retries = None
-            self._m_ack_timeouts = None
-            self._m_tx_fail = None
-            self._m_tail_drops = None
+            metrics.export(self.trace.counters, _MAC_EXPORTS, node=self.node_id)
 
         self._queue: Deque[_TxOp] = deque()
         self._current: Optional[_TxOp] = None
@@ -164,8 +152,6 @@ class MacLayer:
             return self._enqueue_indirect(dst, op)
         if len(self._queue) >= self.params.tx_queue_limit:
             self.trace.counters.incr("mac.tail_drops")
-            if self._m_tail_drops is not None:
-                self._m_tail_drops.inc()
             if self._bus is not None:
                 self._bus.emit("mac", self.node_id, "tail_drop", dst=dst)
             if on_done is not None:
@@ -270,8 +256,7 @@ class MacLayer:
         self._backoff(op)
 
     def _backoff(self, op: _TxOp) -> None:
-        if self._m_backoffs is not None:
-            self._m_backoffs.inc()
+        self._counts["mac.csma_backoffs"] += 1
         # Draw-identical inline of Random.randint(0, 2**be - 1): CPython's
         # randrange -> _randbelow_with_getrandbits(n) does exactly this
         # rejection loop, but its wrapper layers cost ~4us per draw at
@@ -303,8 +288,6 @@ class MacLayer:
             op.be = min(op.be + 1, self.params.max_be)
             if op.nb > self.params.max_csma_backoffs:
                 self._counts["mac.csma_failures"] += 1
-                if self._m_csma_fail is not None:
-                    self._m_csma_fail.inc()
                 if self._bus is not None:
                     self._bus.emit("mac", self.node_id, "csma_failure",
                                    dst=op.frame.dst, retries=op.retries)
@@ -316,8 +299,6 @@ class MacLayer:
         self._cpu._busy += self.params.per_frame_cpu
         radio.transmit_loaded(op.frame, op.frame.byte_size, self._tx_done, op)
         self._counts["mac.frames_tx"] += 1
-        if self._m_frames_tx is not None:
-            self._m_frames_tx.inc()
 
     def _tx_done(self, op: _TxOp) -> None:
         if op is not self._current:
@@ -334,8 +315,6 @@ class MacLayer:
             return
         self._ack_timer_event = None
         self._counts["mac.ack_timeouts"] += 1
-        if self._m_ack_timeouts is not None:
-            self._m_ack_timeouts.inc()
         self._retry(op)
 
     def _retry(self, op: _TxOp) -> None:
@@ -347,16 +326,12 @@ class MacLayer:
         )
         if op.retries > limit:
             self._counts["mac.tx_failures"] += 1
-            if self._m_tx_fail is not None:
-                self._m_tx_fail.inc()
             if self._bus is not None:
                 self._bus.emit("mac", self.node_id, "tx_failure",
                                dst=op.frame.dst, retries=op.retries)
             self._finish(op, False)
             return
         self._counts["mac.link_retries"] += 1
-        if self._m_retries is not None:
-            self._m_retries.inc()
         if self._bus is not None:
             self._bus.emit("mac", self.node_id, "link_retry",
                            dst=op.frame.dst, attempt=op.retries)

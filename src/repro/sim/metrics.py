@@ -9,12 +9,15 @@ qualitative half — typed event records — lives in
   in one process (e.g. the parallel experiment runner) never share
   state.  The only module-level state is the opt-in *auto-attach* flag
   that tells freshly constructed simulators to carry a registry.
-* **Pay for what you use.**  When no registry is attached, every layer
-  caches ``None`` for its instruments at construction time and each
-  would-be emission costs a single attribute load plus an ``is None``
-  test.  When enabled, hot paths hold direct references to instrument
-  objects, so an emission is one attribute increment — no name
-  hashing, no dict lookup.
+* **Count once, export at snapshot time.**  Per-node layer facts
+  (MAC retries, fragments, TCP segments and retransmits) are always
+  counted, once, in the layer's :class:`repro.sim.trace.Counter` bag.
+  A registry never holds a second copy: each layer calls
+  :meth:`MetricsRegistry.export` once at construction, and
+  :meth:`~MetricsRegistry.snapshot` reads the bags.  Only gauges,
+  histograms and the trace bus are opt-in; when no registry is
+  attached a layer caches ``None`` for them and each would-be emission
+  costs one ``is None`` test.
 * **Deterministic snapshots.**  A snapshot is a pure function of
   simulated behaviour: keys are canonically ordered, values derive
   only from simulated time and counts, and no wall-clock quantity is
@@ -41,6 +44,10 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 )
 
 LabelItems = Tuple[Tuple[str, str], ...]
+
+#: ``(bag name, registry name, extra labels)`` rows: how a layer's
+#: trace-bag counts map onto registry counters (see MetricsRegistry.export)
+_ExportTable = Tuple[Tuple[str, str, LabelItems], ...]
 
 
 def _label_items(labels: Dict[str, object]) -> LabelItems:
@@ -118,12 +125,16 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` create on first use and return
     the same instrument object for the same (name, labels) pair, so
     layers resolve instruments once at construction and hot paths touch
-    only the instrument itself.
+    only the instrument itself.  Per-node layer counters are not
+    instruments: ``export`` registers the layer's trace bag, read at
+    snapshot time.
     """
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelItems], object] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        #: (table, labels) -> the distinct bags exported under them
+        self._exports: Dict[Tuple[_ExportTable, LabelItems], List[object]] = {}
 
     # ------------------------------------------------------------------
     # instrument accessors
@@ -165,6 +176,23 @@ class MetricsRegistry:
             name, labels, lambda: HistogramMetric(bounds), HistogramMetric
         )
 
+    def export(self, bag, table: _ExportTable, **labels) -> None:
+        """Report ``bag``'s counts as counters, read at snapshot time.
+
+        ``bag`` is a layer's :class:`repro.sim.trace.Counter`.  Each
+        ``(bag name, registry name, extra labels)`` row of ``table``
+        becomes the counter ``registry name{labels, extra labels}``,
+        present (if zero) from now on.  Bags landing on one key sum, so
+        two stacks with private bags on one node add up; exporting the
+        same bag with the same table and labels again counts it once
+        (every connection of a stack exports the stack's bag).  Bags
+        are matched by identity within a list rather than by ``id()``,
+        so the registry survives checkpoint deepcopy and pickling.
+        """
+        bags = self._exports.setdefault((table, _label_items(labels)), [])
+        if not any(known is bag for known in bags):
+            bags.append(bag)
+
     def register_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
         """Register a callback run at snapshot time.
 
@@ -178,20 +206,29 @@ class MetricsRegistry:
     # export
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Deterministic, JSON-ready dump of every instrument."""
+        """Deterministic, JSON-ready dump of every instrument and
+        exported bag count."""
         for collector in self._collectors:
             collector(self)
-        counters: Dict[str, int] = {}
+        counts: Dict[Tuple[str, LabelItems], int] = {}
+        for (table, labels), bags in self._exports.items():
+            for bag_name, name, extra in table:
+                key = (name, _label_items({**dict(labels), **dict(extra)}))
+                counts[key] = counts.get(key, 0) + sum(
+                    bag.get(bag_name) for bag in bags)
         gauges: Dict[str, float] = {}
         histograms: Dict[str, object] = {}
         for (name, labels), instrument in sorted(self._instruments.items()):
             key = metric_key(name, labels)
             if isinstance(instrument, CounterMetric):
-                counters[key] = instrument.value
+                counts[name, labels] = (
+                    counts.get((name, labels), 0) + instrument.value)
             elif isinstance(instrument, GaugeMetric):
                 gauges[key] = instrument.value
             else:
                 histograms[key] = instrument.export()
+        counters = {metric_key(*key): value
+                    for key, value in sorted(counts.items())}
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 

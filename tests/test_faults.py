@@ -23,12 +23,12 @@ from repro.faults import (
     SkewedClock,
     auto_inject,
     drain_auto,
-    invariants,
 )
 from repro.phy.medium import UniformLoss
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.timers import Timer
+from repro.verify import postrun
 
 
 # ======================================================================
@@ -384,13 +384,13 @@ def test_auto_inject_attaches_to_built_networks():
 class TestInvariants:
     def test_stream_integrity_pass_and_fail(self):
         sent = b"abcdef"
-        assert invariants.check_stream_integrity(sent, sent) == []
-        assert invariants.check_stream_integrity(sent, b"abc", errors=["x"]) == []
-        assert invariants.check_stream_integrity(sent, b"abc")  # short, no error
-        assert invariants.check_stream_integrity(sent, b"abX", errors=["x"])
+        assert postrun.check_stream_integrity(sent, sent) == []
+        assert postrun.check_stream_integrity(sent, b"abc", errors=["x"]) == []
+        assert postrun.check_stream_integrity(sent, b"abc")  # short, no error
+        assert postrun.check_stream_integrity(sent, b"abX", errors=["x"])
 
     def test_recovery_bound(self):
-        check = invariants.check_recovery_bound
+        check = postrun.check_recovery_bound
         assert check(10.0, 5.0, 60.0) == []
         assert check(None, 5.0, 60.0, errors=["failed"]) == []
         assert check(None, 5.0, 60.0)           # limbo
@@ -400,14 +400,14 @@ class TestInvariants:
         sim = Simulator()
         timer = Timer(sim, lambda: None, "tcp-rexmt")
         timer.start(5.0)
-        assert invariants.check_no_armed_tcp_timers(sim)
+        assert postrun.check_no_armed_tcp_timers(sim)
         timer.stop()
-        assert invariants.check_no_armed_tcp_timers(sim) == []
+        assert postrun.check_no_armed_tcp_timers(sim) == []
 
     def test_non_tcp_timers_ignored(self):
         sim = Simulator()
         Timer(sim, lambda: None, "mac-ack").start(5.0)
-        assert invariants.check_no_armed_tcp_timers(sim) == []
+        assert postrun.check_no_armed_tcp_timers(sim) == []
 
     def test_check_quiescent_flags_live_connection(self):
         net = build_pair(seed=6)
@@ -416,7 +416,7 @@ class TestInvariants:
         stack1.listen(8000, lambda c: None, params=tcplp_params())
         stack0.connect(1, 8000, params=tcplp_params())
         net.sim.run(until=1.0)
-        assert invariants.check_quiescent(net.sim, (stack0, stack1))
+        assert postrun.check_quiescent(net.sim, (stack0, stack1))
 
 
 # ======================================================================

@@ -9,14 +9,21 @@ behavioural-vs-perf failure classification in ``tools/bench.py``.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.topology import build_pair
+from repro.experiments.topology import build_chain, build_pair
 from repro.experiments.workload import BulkTransfer
 from repro.core.simplified import tcplp_params
 from repro.core.socket_api import TcpStack
+from repro.mac.poll import PollParams
+from repro.net.node import NodeConfig
+from repro.phy.medium import UniformLoss
+from repro.sim.checkpoint import Checkpoint
 from repro.sim import metrics as metrics_mod
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
@@ -26,7 +33,7 @@ from repro.sim.metrics import (
     diff_snapshots,
     metric_key,
 )
-from repro.sim.trace import TraceBus, read_jsonl
+from repro.sim.trace import Counter, TraceBus, read_jsonl
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -353,6 +360,147 @@ class TestBenchClassification:
         for snaps in golden.values():
             for snap in snaps:
                 assert set(snap) == {"counters", "gauges", "histograms"}
+
+
+def _bag_sums(traces):
+    """Bag counts summed over distinct recorders."""
+    total = {}
+    for trace in {id(t): t for t in traces}.values():
+        for name, value in trace.counters.as_dict().items():
+            total[name] = total.get(name, 0) + value
+    return total
+
+
+def _ignore_accept(conn):
+    """Accept callback (module-level, so checkpoints can pickle it)."""
+
+
+class _SinkNetwork:
+    """A network layer that accepts and drops every packet."""
+
+    def register(self, next_header, handler):
+        pass
+
+    def send(self, *args, **kwargs):
+        pass
+
+
+class TestSingleCounterStore:
+    """Per-node facts are counted once, in the trace bags; a registry
+    only reads them at snapshot time."""
+
+    def test_formerly_registry_only_facts_land_in_bags(self):
+        # no registry: a lossy 2-hop chain with per-hop reassembly
+        # (IPv6 forwarding, SACK repair) ...
+        net = build_chain(2, seed=1, with_cloud=False,
+                          node_config=NodeConfig(reassemble_per_hop=True))
+        assert net.sim.metrics is None
+        net.medium.loss_models.append(UniformLoss(0.1, net.rng))
+        params = tcplp_params()
+        src = TcpStack(net.sim, net.nodes[2].ipv6, 2)
+        dst = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+        BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
+                     receiver_params=params).measure(1.0, 10.0)
+        bags = _bag_sums([n.trace for n in net.nodes.values()]
+                         + [src.trace, dst.trace])
+        for name in ("mac.csma_backoffs", "ipv6.forwards",
+                     "tcp.sack_blocks_sent", "tcp.retransmits"):
+            assert bags.get(name, 0) > 0, name
+        assert bags["tcp.retransmits"] == sum(
+            bags.get(f"tcp.retransmits_{kind}", 0)
+            for kind in ("rto", "fast", "sack"))
+        # ... and a sleepy leaf polling its router
+        net = build_pair(seed=0)
+        poll = PollParams(poll_interval=0.1, fast_poll_interval=0.1,
+                          listen_window=0.1)
+        net.nodes[1].make_sleepy(net.nodes[0], poll=poll)
+        net.sim.run(until=2.0)
+        assert net.nodes[1].trace.counters.get("mac.polls_sent") >= 10
+
+    def test_export_counts_each_bag_once_and_sums_bags(self):
+        registry = MetricsRegistry()
+        table = (("x.a", "x.a", ()),
+                 ("x.b", "x.kinds", (("kind", "b"),)))
+        shared, private = Counter(), Counter()
+        registry.export(shared, table, node=1)
+        registry.export(shared, table, node=1)  # a second connection
+        registry.export(private, table, node=1)  # a second stack
+        registry.export(Counter(), table, node=2)
+        shared.incr("x.a", 3)
+        private.incr("x.a", 4)
+        shared.incr("x.b", 2)
+        registry.counter("x.a", node=2).inc(5)  # an instrument twin
+        assert registry.snapshot()["counters"] == {
+            "x.a{node=1}": 7, "x.a{node=2}": 5,
+            "x.kinds{kind=b,node=1}": 2, "x.kinds{kind=b,node=2}": 0,
+        }
+
+    def test_connections_share_a_stack_bag_and_stacks_sum(self):
+        metrics_mod.auto_attach(True)
+        net = build_pair(seed=7)
+        metrics_mod.auto_attach(False)
+        params = tcplp_params()
+        rx = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+        tx = TcpStack(net.sim, net.nodes[1].ipv6, 1)
+        rx.listen(80, _ignore_accept, params=params)
+        tx.connect(0, 80, params=params)
+        tx.connect(0, 80, params=params)
+        # a second stack on node 1, with its own private bag
+        other = TcpStack(net.sim, _SinkNetwork(), 1)
+        other.connect(0, 80, params=params)
+        net.sim.run(until=3.0)
+        sent_tx = tx.trace.counters.get("tcp.segs_sent")
+        sent_other = other.trace.counters.get("tcp.segs_sent")
+        assert sent_tx >= 4 and sent_other >= 1
+        counters = net.sim.metrics.snapshot()["counters"]
+        assert counters["tcp.segs_sent{node=1}"] == sent_tx + sent_other
+        assert counters["tcp.segs_rcvd{node=0}"] == (
+            rx.trace.counters.get("tcp.segs_rcvd"))
+
+    @pytest.mark.parametrize("via_bytes", [False, True])
+    def test_exports_survive_checkpoint_restore(self, via_bytes):
+        metrics_mod.auto_attach(True)
+        net = build_pair(seed=7)
+        metrics_mod.auto_attach(False)
+        params = tcplp_params()
+        rx = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+        tx = TcpStack(net.sim, net.nodes[1].ipv6, 1)
+        rx.listen(80, _ignore_accept, params=params)
+        tx.connect(0, 80, params=params)
+        net.sim.run(until=2.0)
+        cp = Checkpoint.capture(net.sim, {"net": net, "tx": tx, "rx": rx})
+        if via_bytes:
+            cp = Checkpoint.from_bytes(cp.to_bytes())
+        sim, roots = cp.restore()
+        net, tx, rx = roots["net"], roots["tx"], roots["rx"]
+        tx.connect(0, 80, params=params)  # one more on the same stack
+        sim.run(until=4.0)
+        counters = sim.metrics.snapshot()["counters"]
+        for node_id, stack in ((0, rx), (1, tx)):
+            node = net.nodes[node_id]
+            for bag, key in ((stack.trace, "tcp.segs_sent"),
+                             (stack.trace, "tcp.segs_rcvd"),
+                             (node.trace, "mac.frames_tx"),
+                             (node.trace, "lowpan.fragments_sent")):
+                assert counters[f"{key}{{node={node_id}}}"] == (
+                    bag.counters.get(key)), (key, node_id)
+            assert counters[f"net.delivered{{node={node_id}}}"] == (
+                node.trace.counters.get("ipv6.delivered"))
+        assert counters["tcp.segs_sent{node=1}"] > 0
+
+
+class TestMetricsGate:
+    def test_metrics_gate_matches_checked_in_golden(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "bench.py"),
+             "--metrics-gate"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "metrics gate OK: 7 scenarios match golden" in proc.stdout
 
 
 class TestRunnerMetricsOut:
