@@ -31,6 +31,10 @@ into a uniform grid with cell size ``comm_range`` and only tests the
 The resulting neighbor sets are identical to the brute-force sweep
 (asserted by tests/test_phy_medium.py); construct with
 ``use_spatial_index=False`` to force the pairwise path.
+
+The medium keeps no counters: it counts each outcome it decides in the
+radio's bag (see :mod:`repro.phy.radio`), and ``frames_delivered`` /
+``frames_collided`` / ``frames_lost`` sum those bags.
 """
 
 from __future__ import annotations
@@ -177,26 +181,10 @@ class Medium:
         #: every single-process run.
         self.tx_commit_hook: Optional[Callable[[int, object, float, float], None]] = None
         self.cache_rebuilds = 0
-        self.frames_delivered = 0
-        self.frames_collided = 0
-        self.frames_lost = 0
-        # Observability (None when disabled — each guard below is one
-        # attribute load + identity test, so the disabled path stays on
-        # the PR 1 fast path).  Per-receiver instruments are cached in
-        # dicts keyed by node id so the delivery loop never hashes
-        # label tuples.
-        self._metrics = getattr(sim, "metrics", None)
         self._bus = getattr(sim, "trace_bus", None)
         # In-flight transmissions hold absolute times outside the event
         # heap; shift them when the hybrid tier warps the clock.
         sim.warp_hooks.append(self._on_warp)
-        if self._metrics is not None:
-            self._m_tx: Dict[int, object] = {}
-            self._m_collisions: Dict[int, object] = {}
-            self._m_deliveries: Dict[int, object] = {}
-            self._m_losses: Dict[int, object] = {}
-            self._m_missed: Dict[int, object] = {}
-            self._m_carrier_busy: Dict[int, object] = {}
 
     def _on_warp(self, delta: float) -> None:
         """Keep in-flight transmissions aligned with a warped clock.
@@ -209,13 +197,21 @@ class Medium:
             tx.start += delta
             tx.end += delta
 
-    def _node_counter(self, cache: Dict[int, object], name: str,
-                      node_id: int):
-        counter = cache.get(node_id)
-        if counter is None:
-            counter = self._metrics.counter(name, node=node_id)
-            cache[node_id] = counter
-        return counter
+    def _total(self, name: str) -> int:
+        """``name`` summed over the radios' bags."""
+        return sum(radio.counters.get(name) for radio in self.radios.values())
+
+    @property
+    def frames_delivered(self) -> int:
+        return self._total("phy.deliveries")
+
+    @property
+    def frames_collided(self) -> int:
+        return self._total("phy.collisions")
+
+    @property
+    def frames_lost(self) -> int:
+        return self._total("phy.losses")
 
     # ------------------------------------------------------------------
     # topology
@@ -427,20 +423,11 @@ class Medium:
                 sets = self._build_cache()
             for tx in active:
                 if node_id in sets[tx.sender.node_id]:
-                    if self._metrics is not None:
-                        self._node_counter(
-                            self._m_carrier_busy, "phy.carrier_busy", node_id
-                        ).inc()
                     return True
             return False
-        busy = any(
+        return any(
             self._in_range_uncached(tx.sender.node_id, node_id) for tx in active
         )
-        if busy and self._metrics is not None:
-            self._node_counter(
-                self._m_carrier_busy, "phy.carrier_busy", node_id
-            ).inc()
-        return busy
 
     def begin_transmission(self, sender: "Radio", frame: object, air_time: float) -> Transmission:
         """Put a frame on the air; schedules its own completion."""
@@ -481,8 +468,7 @@ class Medium:
                         tx.spoiled.add(rcv_id)
                         other.spoiled.add(rcv_id)
         self._active.append(tx)
-        if self._metrics is not None:
-            self._node_counter(self._m_tx, "phy.tx", sender_id).inc()
+        sender._counts["phy.tx"] += 1
         if self._bus is not None:
             self._bus.emit("phy", sender_id, "tx_begin", air_time=air_time)
         # Handle-free schedule: nothing ever cancels a frame's air-time
@@ -510,15 +496,10 @@ class Medium:
         frame_filters = self.frame_filters
         now = self.sim.now
         start = tx.start
-        metrics = self._metrics
         bus = self._bus
         for rcv_id, radio in receivers:
             if rcv_id in spoiled:
-                self.frames_collided += 1
-                if metrics is not None:
-                    self._node_counter(
-                        self._m_collisions, "phy.collisions", rcv_id
-                    ).inc()
+                radio._counts["phy.collisions"] += 1
                 if bus is not None:
                     bus.emit("phy", rcv_id, "collision", sender=sender_id)
                 continue
@@ -526,34 +507,16 @@ class Medium:
             # receiver per frame): continuously in LISTEN since tx start?
             if radio.energy.state is not _LISTEN or radio._listen_since > start:
                 # Asleep, deaf (hardware-CSMA backoff), or transmitting.
-                if metrics is not None:
-                    self._node_counter(
-                        self._m_missed, "phy.missed_not_listening", rcv_id
-                    ).inc()
+                radio._counts["phy.missed_not_listening"] += 1
                 continue
-            if loss_models and any(
+            lost = loss_models and any(
                 loss(sender_id, rcv_id, now) for loss in loss_models
-            ):
-                self.frames_lost += 1
-                if metrics is not None:
-                    self._node_counter(
-                        self._m_losses, "phy.losses", rcv_id
-                    ).inc()
-                if bus is not None:
-                    bus.emit("phy", rcv_id, "loss", sender=sender_id)
-                continue
-            if frame_filters and any(
+            )
+            if lost and bus is not None:
+                bus.emit("phy", rcv_id, "loss", sender=sender_id)
+            if lost or (frame_filters and any(
                 f(tx.frame, sender_id, rcv_id) for f in frame_filters
-            ):
-                self.frames_lost += 1
-                if metrics is not None:
-                    self._node_counter(
-                        self._m_losses, "phy.losses", rcv_id
-                    ).inc()
+            )):
+                radio._counts["phy.losses"] += 1
                 continue
-            self.frames_delivered += 1
-            if metrics is not None:
-                self._node_counter(
-                    self._m_deliveries, "phy.deliveries", rcv_id
-                ).inc()
             radio.deliver(tx.frame, sender_id)

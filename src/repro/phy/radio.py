@@ -8,6 +8,10 @@ the medium).  The MAC drives CSMA in software, so between backoff slots
 the radio stays in LISTEN — the fix for the AT86RF233 "deaf listening"
 problem described in §4.  Setting ``deaf_csma=True`` restores the broken
 hardware behaviour for ablation experiments.
+
+A radio's ``counters`` bag is the only store of its node's ``phy.*``
+facts (the medium counts the outcomes it decides there); a metrics
+registry reads it at snapshot time.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from repro.phy.energy import CpuMeter, EnergyLedger, RadioState
 from repro.phy.medium import Medium
 from repro.phy.params import PhyParams
 from repro.sim.engine import Simulator
+from repro.sim.trace import Counter
 
 _LISTEN = RadioState.LISTEN
 _TX = RadioState.TX
@@ -55,21 +60,33 @@ class Radio:
         self._listen_since: float = sim.now
         self._tx_busy = False
         self._load_busy = False
-        #: False while the node is crashed (fault injection); scheduled
-        #: radio callbacks check this so in-flight work evaporates
+        #: False while the node is crashed (fault injection)
         self.powered = True
-        self.frames_sent = 0
-        self.frames_received = 0
+        #: bumped by every crash; a scheduled callback whose epoch is
+        #: stale evaporates, even if the node has rebooted since
+        self._epoch = 0
+        self.counters = Counter()
+        self._counts = self.counters._counts
         medium.register(self, position)
         metrics = getattr(sim, "metrics", None)
         if metrics is not None:
-            # Energy accounting is pulled at snapshot time rather than
-            # pushed per transition: the ledger already holds the state
-            # totals, so the radio hot path carries no metrics code.
+            # Energy and the phy.* bag are pulled at snapshot time rather
+            # than pushed per event: the ledger and the bag already hold
+            # the totals, so the radio hot path carries no metrics code.
             metrics.register_collector(self._collect_metrics)
 
+    @property
+    def frames_sent(self) -> int:
+        """Frames that completed their air phase."""
+        return self.counters.get("phy.frames_sent")
+
+    @property
+    def frames_received(self) -> int:
+        """Clean frames delivered to this radio."""
+        return self.counters.get("phy.deliveries")
+
     def _collect_metrics(self, metrics) -> None:
-        """Export energy/traffic state as gauges (snapshot-time pull)."""
+        """Export energy/traffic gauges and nonzero ``phy.*`` counts."""
         nid = self.node_id
         for state, seconds in self.energy._settled().items():
             metrics.gauge(
@@ -85,6 +102,10 @@ class Radio:
         metrics.gauge("phy.frames_received", node=nid).set(
             self.frames_received
         )
+        for name, value in self._counts.items():
+            # phy.frames_sent is reported as the gauge above
+            if value and name != "phy.frames_sent":
+                metrics.counter(name, node=nid).value = value
 
     # ------------------------------------------------------------------
     # state control (driven by the MAC)
@@ -104,6 +125,7 @@ class Radio:
         if not self.powered:
             return
         self.powered = False
+        self._epoch += 1
         self._tx_busy = False
         self._load_busy = False
         self.medium.drop_in_flight(self.node_id)
@@ -151,7 +173,10 @@ class Radio:
     # ------------------------------------------------------------------
     def channel_clear(self) -> bool:
         """Clear-channel assessment (energy detect at this node)."""
-        return not self.medium.carrier_busy(self.node_id)
+        if self.medium.carrier_busy(self.node_id):
+            self._counts["phy.carrier_busy"] += 1
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # transmit path
@@ -176,10 +201,11 @@ class Radio:
         spi = (self._air_base + frame_bytes * self._air_per_byte) * self._spi_factor
         self.cpu._busy += spi
         # handle-free: an SPI load completion is never cancelled
-        self.sim.schedule_unref(spi, self._finish_load, on_done, args)
+        self.sim.schedule_unref(spi, self._finish_load, self._epoch, on_done, args)
 
-    def _finish_load(self, on_done: Callable[..., None], args: tuple = ()) -> None:
-        if not self.powered:
+    def _finish_load(self, epoch: int, on_done: Callable[..., None],
+                     args: tuple = ()) -> None:
+        if epoch != self._epoch:
             return  # crashed mid-load; the buffer is gone
         self._load_busy = False
         on_done(*args)
@@ -222,9 +248,10 @@ class Radio:
             air = self._air_base + frame_bytes * self._air_per_byte
             hook(self.node_id, frame, self.sim.now + delay, air)
         if delay:
-            self.sim.schedule_unref(delay, self._start_air, frame, frame_bytes, on_done, args)
+            self.sim.schedule_unref(delay, self._start_air, self._epoch,
+                                    frame, frame_bytes, on_done, args)
         else:
-            self._start_air(frame, frame_bytes, on_done, args)
+            self._start_air(self._epoch, frame, frame_bytes, on_done, args)
 
     def transmit_loaded(
         self, frame: object, frame_bytes: int, on_done: Callable[..., None], *args: object
@@ -239,9 +266,9 @@ class Radio:
                 f"{self.params.max_frame_bytes} B"
             )
 
-    def _start_air(self, frame: object, frame_bytes: int,
+    def _start_air(self, epoch: int, frame: object, frame_bytes: int,
                    on_done: Callable[..., None], args: tuple = ()) -> None:
-        if not self.powered:
+        if epoch != self._epoch:
             return  # crashed between SPI load and air phase
         # Inlined EnergyLedger.transition(TX) — two transitions per frame
         # on the air makes the call overhead itself measurable.
@@ -252,13 +279,14 @@ class Radio:
         energy._since = now
         air = self._air_base + frame_bytes * self._air_per_byte
         self.medium.begin_transmission(self, frame, air)
-        self.sim.schedule_unref(air, self._end_air, on_done, args)
+        self.sim.schedule_unref(air, self._end_air, epoch, on_done, args)
 
-    def _end_air(self, on_done: Callable[..., None], args: tuple = ()) -> None:
-        if not self.powered:
+    def _end_air(self, epoch: int, on_done: Callable[..., None],
+                 args: tuple = ()) -> None:
+        if epoch != self._epoch:
             return  # crashed mid-air; the frame was spoiled on the medium
         self._tx_busy = False
-        self.frames_sent += 1
+        self._counts["phy.frames_sent"] += 1
         # Return to listening (inlined transition, see _start_air); the
         # MAC may immediately put us to sleep.
         energy = self.energy
@@ -276,7 +304,7 @@ class Radio:
         """A clean frame arrived; charge the SPI read-out and pass it up."""
         if not self.powered:
             return
-        self.frames_received += 1
+        self._counts["phy.deliveries"] += 1
         size = getattr(frame, "byte_size", 32)
         self.cpu._busy += (self._air_base + size * self._air_per_byte) * self._spi_factor
         if self.on_frame is not None:

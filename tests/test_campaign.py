@@ -115,6 +115,9 @@ class TestExperimentCatalog:
         clone = cat.copy()
         clone.register("extra", linear_cell)
         assert "extra" in clone and "extra" not in cat
+        clone.unregister("extra")
+        clone.unregister("extra")  # idempotent
+        assert "extra" not in clone
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ValueError, match="did you mean"):
@@ -124,20 +127,6 @@ class TestExperimentCatalog:
         accepted, var_kw = make_catalog().accepted_params("linear_cell")
         assert accepted == {"x", "scale", "seed"}
         assert not var_kw
-
-    def test_legacy_shims_route_to_default_catalog(self):
-        from repro.experiments import runner
-
-        def _shim_exp(quick):
-            return {"ok": quick}
-
-        runner.register_experiment("campaign_shim_exp", _shim_exp)
-        try:
-            assert "campaign_shim_exp" in runner.DEFAULT_CATALOG
-            assert "campaign_shim_exp" in runner.experiment_registry(True)
-        finally:
-            runner.unregister_experiment("campaign_shim_exp")
-        assert "campaign_shim_exp" not in runner.DEFAULT_CATALOG
 
 
 # ----------------------------------------------------------------------
@@ -605,12 +594,10 @@ class TestLegacyShim:
             assert name in api.__all__ and hasattr(api, name)
 
     def test_default_catalog_superset_of_registry(self):
-        from repro.experiments.runner import (default_catalog,
-                                              experiment_registry)
+        from repro.experiments.runner import DEFAULT_CATALOG, default_catalog
 
         cat = default_catalog()
-        for name in experiment_registry(quick=True):
-            assert name in cat
+        assert cat is DEFAULT_CATALOG
         for cell in ("single_hop_cell", "fig9_cell", "duty_cell",
                      "ayadi_energy"):
             assert cell in cat

@@ -457,6 +457,37 @@ class TestSingleCounterStore:
         assert counters["tcp.segs_rcvd{node=0}"] == (
             rx.trace.counters.get("tcp.segs_rcvd"))
 
+    def test_registry_phy_counters_are_the_radio_bags(self):
+        # a lossy hidden-terminal chain exercises every PHY outcome
+        metrics_mod.auto_attach(True)
+        net = build_chain(3, seed=1, with_cloud=False)
+        metrics_mod.auto_attach(False)
+        net.medium.loss_models.append(UniformLoss(0.05, net.rng))
+        params = tcplp_params()
+        src = TcpStack(net.sim, net.nodes[3].ipv6, 3)
+        dst = TcpStack(net.sim, net.nodes[0].ipv6, 0)
+        BulkTransfer(net.sim, src, dst, receiver_id=0, params=params,
+                     receiver_params=params)
+        for until in (1.0, 4.0):  # a later snapshot re-reads the bags
+            net.sim.run(until=until)
+            counters = net.sim.metrics.snapshot()["counters"]
+            phy = {key: value for key, value in counters.items()
+                   if key.startswith("phy.")}
+            expected = {
+                f"{name}{{node={nid}}}": value
+                for nid, node in net.nodes.items()
+                for name, value in node.radio.counters.as_dict().items()
+                if value and name != "phy.frames_sent"}
+            assert phy == expected
+            assert all(phy.values())
+        families = {key.split("{")[0] for key in phy}
+        assert families == {"phy.tx", "phy.deliveries", "phy.collisions",
+                            "phy.losses", "phy.missed_not_listening",
+                            "phy.carrier_busy"}
+        assert net.medium.frames_delivered == sum(
+            value for key, value in phy.items()
+            if key.startswith("phy.deliveries{"))
+
     @pytest.mark.parametrize("via_bytes", [False, True])
     def test_exports_survive_checkpoint_restore(self, via_bytes):
         metrics_mod.auto_attach(True)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mac.frame import Frame, FrameKind
+from repro.phy.energy import RadioState
 from repro.phy.medium import Medium, UniformLoss
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
@@ -50,6 +51,9 @@ def test_clean_delivery():
     assert len(got) == 1
     assert got[0][1] == 0
     assert medium.frames_delivered == 1
+    assert radios[1].counters.get("phy.deliveries") == 1
+    assert radios[0].counters.get("phy.tx") == 1
+    assert radios[0].frames_sent == 1
 
 
 def test_out_of_range_no_delivery():
@@ -69,6 +73,8 @@ def test_sleeping_radio_misses_frame():
     radios[0].transmit(frame(0, 1), 73, on_done=lambda: None)
     sim.run()
     assert got == []
+    assert radios[1].counters.get("phy.missed_not_listening") == 1
+    assert medium.frames_delivered == 0
 
 
 def test_radio_waking_mid_frame_misses_it():
@@ -95,6 +101,7 @@ def test_hidden_terminal_collision():
     sim.run()
     assert got == []  # both corrupted at node 1
     assert medium.frames_collided == 2
+    assert radios[1].counters.get("phy.collisions") == 2
 
 
 def test_non_overlapping_frames_both_delivered():
@@ -112,12 +119,16 @@ def test_carrier_busy_during_air_phase():
     radios[0].transmit(frame(0, 1), 127, on_done=lambda: None)
     # during the SPI phase, the channel is still idle
     assert not medium.carrier_busy(1)
+    assert radios[1].channel_clear()
     seen = []
     # by mid-transmission the air phase is active
     sim.schedule(0.0060, lambda: seen.append(medium.carrier_busy(1)))
+    sim.schedule(0.0061, lambda: seen.append(radios[1].channel_clear()))
     sim.run()
-    assert seen == [True]
+    assert seen == [True, False]
     assert not medium.carrier_busy(1)
+    # only the busy clear-channel assessment counts; the queries do not
+    assert radios[1].counters.get("phy.carrier_busy") == 1
 
 
 def test_half_duplex_transmitter_cannot_receive():
@@ -145,6 +156,53 @@ def test_uniform_loss_drops_roughly_at_rate():
     send(200)
     sim.run()
     assert 60 < len(got) < 140  # ~100 expected
+    assert radios[1].counters.get("phy.losses") == 200 - len(got)
+    assert medium.frames_lost == 200 - len(got)
+
+
+def test_short_reboot_drops_stale_air_completion():
+    """A crash orphans the frame on the air; a reboot before its air
+    time ends must not revive the orphaned completion, which would end
+    the next frame's air phase early."""
+    sim, medium, radios = make_net([(0, 0), (5, 0)])
+    radio = radios[0]
+    done = []
+    # 100 B: 3.39 ms on the air from t=0
+    radio.transmit(frame(0, 1), 100, lambda: done.append("crashed"),
+                   skip_spi=True)
+    sim.schedule(0.0010, radio.power_off)
+    sim.schedule(0.0015, radio.power_on)
+    # on the air from 2 ms to 5.39 ms
+    sim.schedule(0.0020, lambda: radio.transmit(
+        frame(0, 1), 100, lambda: done.append("fresh"), skip_spi=True))
+    mid_air = []
+    sim.schedule(0.0040, lambda: mid_air.append(
+        (radio.state, radio._tx_busy)))
+    sim.run()
+    assert mid_air == [(RadioState.TX, True)]
+    assert done == ["fresh"]
+    assert radio.frames_sent == 1
+    assert radio.state is RadioState.LISTEN
+
+
+def test_short_reboot_drops_stale_load_and_air_start():
+    """An SPI load or transmit cut short by a crash stays dead across a
+    reboot that comes before its scheduled completion."""
+    sim, medium, radios = make_net([(0, 0), (5, 0)])
+    radio = radios[0]
+    done = []
+    radio.load(100, done.append, "loaded")  # SPI busy until 3.39 ms
+    sim.schedule(0.0010, radio.power_off)
+    sim.schedule(0.0015, radio.power_on)
+    sim.run()
+    assert done == []
+    radio.transmit(frame(0, 1), 100, done.append, "sent")  # air at +3.39 ms
+    sim.schedule(0.0010, radio.power_off)
+    sim.schedule(0.0015, radio.power_on)
+    sim.run()
+    assert done == []
+    assert radio.counters.get("phy.tx") == 0
+    assert radio.frames_sent == 0
 
 
 def test_uniform_loss_link_scoped():

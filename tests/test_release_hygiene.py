@@ -1,7 +1,13 @@
-"""Release hygiene: docs present, API importable, examples compile."""
+"""Release hygiene: docs present, API importable, examples compile
+(and the sub-second ones run)."""
 
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
+
+import pytest
 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -29,6 +35,17 @@ def test_every_example_compiles():
     assert len(examples) >= 5
     for script in examples:
         py_compile.compile(str(script), doraise=True)
+
+
+@pytest.mark.parametrize("name", ["quickstart.py", "remote_shell.py"])
+def test_fast_example_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(REPO / "examples" / name)],
+                          cwd=REPO, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_example_has_a_docstring_and_main():

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.campaign.catalog import ExperimentCatalog
 from repro.experiments.exp_ablations import ABLATIONS, run_ablation
-from repro.experiments.runner import experiment_registry, main, run_all
+from repro.experiments.runner import DEFAULT_CATALOG, main, run_all
 
 
 class TestAblationHarness:
@@ -38,9 +39,21 @@ class TestAblationHarness:
         assert row["segment_loss"] > 0.03
 
 
+def _boom(quick):
+    raise RuntimeError("injected")
+
+
+def _boom_catalog():
+    """A two-entry catalog: one failing experiment, one real one."""
+    return ExperimentCatalog({
+        "boom": _boom,
+        "static_tables": DEFAULT_CATALOG.get("static_tables"),
+    })
+
+
 class TestRunner:
     def test_registry_covers_every_table_and_figure(self):
-        names = set(experiment_registry(quick=True))
+        names = set(DEFAULT_CATALOG.names())
         for required in (
             "static_tables", "fig4_mss", "fig5_buffer", "table7_stacks",
             "fig6a_one_hop", "fig6bcd_three_hops", "fig7a_cwnd",
@@ -60,15 +73,7 @@ class TestRunner:
     def test_broken_experiment_reported_not_raised(self, monkeypatch):
         import repro.experiments.runner as runner_mod
 
-        registry = runner_mod.experiment_registry(True)
-
-        def boom():
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(
-            runner_mod, "experiment_registry",
-            lambda quick: {"boom": boom, "static_tables": registry["static_tables"]},
-        )
+        monkeypatch.setattr(runner_mod, "DEFAULT_CATALOG", _boom_catalog())
         results = runner_mod.run_all(quick=True, progress=lambda *_: None)
         assert results["boom"] == {"error": "RuntimeError: injected"}
         assert "memory_model" in results["static_tables"]
@@ -104,16 +109,7 @@ class TestRunner:
                                                     monkeypatch):
         import repro.experiments.runner as runner_mod
 
-        registry = runner_mod.experiment_registry(True)
-
-        def boom():
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(
-            runner_mod, "experiment_registry",
-            lambda quick: {"boom": boom,
-                           "static_tables": registry["static_tables"]},
-        )
+        monkeypatch.setattr(runner_mod, "DEFAULT_CATALOG", _boom_catalog())
         out = tmp_path / "r.json"
         code = runner_mod.main(["--quick", "-o", str(out)])
         assert code == 1
